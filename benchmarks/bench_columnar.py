@@ -1,31 +1,35 @@
 """Replay-speedup benchmark for the columnar pricing engine.
 
-Measures the headline claim of the columnar tentpole: re-pricing the
-Fig. 9 DSE's recorded op streams through :mod:`repro.sim.columnar` is an
-order of magnitude faster than the scalar ``Op.apply`` walk, while
-staying bit-identical (the differential and property suites pin the
-identity; this script pins the speed and re-checks identity on the way).
+Measures the headline claim of the columnar engine: re-pricing the
+Fig. 9 DSE's recorded op streams through production replay
+(:func:`repro.sim.backends.replay_recording`, priced by
+:mod:`repro.sim.columnar`) is an order of magnitude faster than the
+scalar ``Op.apply`` walk, while staying bit-identical (the differential
+and property suites pin the identity; this script pins the speed and
+re-checks identity on the way).  The scalar side is the test suite's
+reference, ``tests/scalar_reference.py``; production has no scalar
+engine.
 
 The workload is the real Fig. 9 shape: record the DSE collection once
 into an artifact store, then replay every recording under every port
 variant of its capacity group — exactly the work the record/replay sweep
-and the serving layer's replay path perform.  Two phases per engine:
+and the serving layer's replay path perform.  Two phases per side:
 
 * **warm** — recordings already resident (the steady state behind the
-  store's load memo): pure re-pricing arithmetic.  The scalar engine
-  walks every op in Python; the columnar engine reduces whole columns.
-  This is the headline number.
+  store's load memo): pure re-pricing arithmetic.  The scalar reference
+  walks every op in Python; production reduces whole columns.  This is
+  the headline number.
 * **cold** — each iteration reloads every artifact from disk first, so
-  the scalar engine also pays per-op materialization of the columnar
-  columns while the columnar engine prices them directly.  Dominated by
-  shared npz decompression, reported for honesty.
+  the scalar reference also pays per-op materialization of the columns
+  while production prices them directly.  Dominated by shared npz
+  decompression, reported for honesty.
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_columnar.py --check
 
 ``--check`` exits non-zero unless the warm speedup clears 5x and the two
-engines priced every replay bit-identically; ``--smoke`` shrinks the
+sides priced every replay bit-identically; ``--smoke`` shrinks the
 collection for CI.  The full-size run is checked in as
 ``benchmarks/results/BENCH_columnar.json`` and summarized in
 EXPERIMENTS.md.
@@ -35,8 +39,10 @@ path (fresh simulations, nothing cached).  Two measurements:
 
 * **cold end-to-end** — the full Fig. 9 DSE in record+replay mode
   (functional kernel execution, narration, pricing, artifact IO,
-  replays), once under ``scalar`` narration and once under ``batched``
-  narration, with the DSE cycle tables compared for bit-identity.
+  replays), once under ``scalar`` narration (the stock backends made
+  batch-incapable, so every core prices op by op) and once under
+  production ``batched`` narration, with the DSE cycle tables compared
+  for bit-identity.
   Amdahl applies here: functional simulation (the VIA engine's CAM/SSPM
   bookkeeping), the order-dependent cache walk, and npz IO are identical
   in both modes and dominate wall-clock, so this number hovers near 1x —
@@ -44,10 +50,11 @@ path (fresh simulations, nothing cached).  Two measurements:
   claim.
 * **record-path narration** — the layer batching actually replaces:
   narrating a Fig. 9-shaped op stream (VIA-op dominated, mixed with
-  vector/scalar compute, branches, and stalls) through a live
-  ``RecorderBackend`` and pricing it to a finalized result.  Scalar mode
-  pays one ``Op`` dataclass + ``Op.apply`` per event; batched mode
-  appends to the ``ColumnarBuilder`` and prices whole flushes.  This is
+  vector/scalar compute, branches, and stalls) through a live recorder
+  and pricing it to a finalized result.  The scalar side records through
+  a batch-incapable ``RecorderBackend`` subclass and pays one ``Op``
+  dataclass + ``Op.apply`` per event; the batched side appends to the
+  ``ColumnarBuilder`` and prices whole flushes.  This is
   the gated >=3x number, and the finalized cycle totals must match
   bit-for-bit.
 
@@ -59,6 +66,7 @@ measurements, and no cold end-to-end regression.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import tempfile
@@ -67,14 +75,24 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "tests"))
 
 import numpy as np  # noqa: E402
+from scalar_reference import (  # noqa: E402
+    PerOpRecorder,
+    per_op_narration,
+    replay_scalar,
+)
 
 from repro.eval.dse import run_dse  # noqa: E402
 from repro.matrices.collection import small_collection  # noqa: E402
-from repro.sim.backends import replay_recording  # noqa: E402
+from repro.sim.backends import RecorderBackend, replay_recording  # noqa: E402
 from repro.sim.ops import load_recordings  # noqa: E402
 from repro.via.config import dse_configs  # noqa: E402
+
+#: the two sides of every comparison: the scalar test reference and
+#: production replay
+REPLAYS = {"scalar": replay_scalar, "columnar": replay_recording}
 
 DEFAULT_JSON = REPO / "benchmarks" / "results" / "BENCH_columnar.json"
 DEFAULT_COLD_JSON = REPO / "benchmarks" / "results" / "BENCH_columnar_cold.json"
@@ -90,6 +108,7 @@ def _load_all(paths):
 
 def _replay_all(recordings, engine, port_variants):
     """Replay every recording under every port variant of its group."""
+    replay = REPLAYS[engine]
     results = []
     for rec in recordings:
         if rec.via_config is not None:
@@ -97,9 +116,7 @@ def _replay_all(recordings, engine, port_variants):
         else:
             cfgs = [None]  # baseline recordings have no VIA side
         for cfg in cfgs:
-            results.append(
-                replay_recording(rec, via_config=cfg, engine=engine)
-            )
+            results.append(replay(rec, via_config=cfg))
     return results
 
 
@@ -121,7 +138,7 @@ def bench_engine(engine, paths, port_variants, repeats):
         results = _replay_all(recordings, engine, port_variants)
     warm_s = (time.perf_counter() - t0) / repeats
     # cold: a fresh load every iteration (fresh Recording objects, so the
-    # scalar engine re-materializes per-op dataclasses each time)
+    # scalar reference re-materializes per-op dataclasses each time)
     t0 = time.perf_counter()
     for _ in range(max(1, repeats // 2)):
         cold_results = _replay_all(_load_all(paths), engine, port_variants)
@@ -159,28 +176,24 @@ def _narrate_fig9_mix(core, n_ops):
 
 def bench_narration(mode, n_ops, repeats):
     """Record-path narration+pricing throughput under one narration mode."""
-    from repro.sim.backends import RecorderBackend
     from repro.sim.config import DEFAULT_MACHINE
-    from repro.sim.core import Core, set_narration_mode
+    from repro.sim.core import Core
     from repro.via.config import DEFAULT_VIA
     from repro.via.engine import ViaDevice
 
-    prev = set_narration_mode(mode)
-    try:
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            core = Core(
-                DEFAULT_MACHINE,
-                via=ViaDevice(DEFAULT_VIA),
-                backend=RecorderBackend(),
-            )
-            t0 = time.perf_counter()
-            _narrate_fig9_mix(core, n_ops)
-            result = core.finalize("bench-narration")
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        set_narration_mode(prev)
+    recorder = PerOpRecorder if mode == "scalar" else RecorderBackend
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        core = Core(
+            DEFAULT_MACHINE,
+            via=ViaDevice(DEFAULT_VIA),
+            backend=recorder(),
+        )
+        t0 = time.perf_counter()
+        _narrate_fig9_mix(core, n_ops)
+        result = core.finalize("bench-narration")
+        best = min(best, time.perf_counter() - t0)
     digest = (
         np.float64(result.cycles).tobytes()
         + np.float64(result.energy_pj).tobytes()
@@ -190,19 +203,16 @@ def bench_narration(mode, n_ops, repeats):
 
 def bench_cold_dse(mode, collection, repeats):
     """Full cold record+replay DSE under one narration mode."""
-    from repro.sim.core import set_narration_mode
-
-    prev = set_narration_mode(mode)
-    try:
-        best = float("inf")
-        result = None
+    scalar = mode == "scalar"
+    narration = per_op_narration() if scalar else contextlib.nullcontext()
+    best = float("inf")
+    result = None
+    with narration:
         for _ in range(repeats):
             with tempfile.TemporaryDirectory(prefix="bench-cold-") as td:
                 t0 = time.perf_counter()
                 result = run_dse(collection, record_dir=td)
                 best = min(best, time.perf_counter() - t0)
-    finally:
-        set_narration_mode(prev)
     digest = json.dumps(result.cycles, sort_keys=True)
     return {"best_s": round(best, 6)}, digest
 
@@ -302,7 +312,7 @@ def main(argv=None) -> int:
                              "batched narration mode")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless warm speedup >= 5x and "
-                             "both engines price identically (with --cold: "
+                             "both sides price identically (with --cold: "
                              "narration >= 3x, bit-identical, no cold "
                              "end-to-end regression)")
     parser.add_argument("--json", metavar="PATH",
@@ -341,11 +351,11 @@ def main(argv=None) -> int:
     identical = prints["scalar"] == prints["columnar"]
     warm_speedup = rows["scalar"]["warm_s"] / rows["columnar"]["warm_s"]
     cold_speedup = rows["scalar"]["cold_s"] / rows["columnar"]["cold_s"]
-    print(f"\nwarm replay speedup (columnar over scalar): "
+    print(f"\nwarm replay speedup (columnar over the scalar reference): "
           f"{warm_speedup:.1f}x")
     print(f"cold replay speedup (incl. shared artifact IO): "
           f"{cold_speedup:.1f}x")
-    print(f"engines bit-identical across all replays: {identical}")
+    print(f"bit-identical across all replays: {identical}")
 
     summary = {
         "workload": {
@@ -368,7 +378,9 @@ def main(argv=None) -> int:
     if args.check:
         failures = []
         if not identical:
-            failures.append("engines disagreed on at least one replay")
+            failures.append(
+                "production and the scalar reference disagreed on a replay"
+            )
         if warm_speedup < 5.0:
             failures.append(
                 f"warm speedup {warm_speedup:.1f}x below the 5x gate"

@@ -18,7 +18,7 @@ accounting.  These rules turn the convention into a checkable gate:
   Kernels narrate exclusively through the ``Core`` API; building IR
   objects directly skips validation, the builder, and the backend seam.
 
-``Core``'s own scalar-fallback branches (``if b is None: self._emit(...)``
+``Core``'s own per-op branches (``if b is None: self._emit(...)``
 at method-body level) construct ops legitimately — they sit outside any
 loop, so ``VIA401`` does not fire, and ``repro.sim.core`` is not a
 kernel, so ``VIA402`` does not apply.  A justified exception is silenced

@@ -128,7 +128,6 @@ def run_dse(
     spmm_max_n: int = 1024,
     runner: Optional["RunnerConfig"] = None,
     record_dir: Optional[str] = None,
-    engine: Optional[str] = None,
     validate: bool = False,
     strategy: str = "exhaustive",
     model: Any = None,
@@ -150,11 +149,6 @@ def run_dse(
     into that directory, and every configuration is priced by replaying
     them (bit-identical to the direct sweep, see
     ``tests/test_ops_replay_differential.py``).
-
-    ``engine`` selects the replay pricing engine (``"scalar"`` or
-    ``"columnar"``, see :data:`repro.sim.backends.REPLAY_ENGINES`); it only
-    applies in record/replay mode and never changes results — both engines
-    are bit-identical by contract.
 
     ``validate`` routes every op (direct, record, and replay) through the
     runtime invariant checker
@@ -187,24 +181,19 @@ def run_dse(
             spmm_max_n=spmm_max_n,
             runner=runner,
             record_dir=record_dir,
-            engine=engine,
             validate=validate,
             model=model,
             keep=guided_keep,
         )
     if record_dir is not None:
-        return _run_dse_replay(
-            collection,
-            configs=configs,
-            machine=machine,
-            limit=limit,
-            spmm_collection=spmm_collection,
-            spmm_max_n=spmm_max_n,
-            runner=runner,
-            record_dir=record_dir,
-            engine=engine,
-            validate=validate,
-        )
+        # record once per stream-shape group, replay once per configuration
+        return DseResult(cycles={
+            kernel: _simulate_cells(
+                kernel, configs, collection, machine, limit, spmm_collection,
+                spmm_max_n, runner, record_dir, validate,
+            )
+            for kernel in DSE_KERNELS
+        })
     cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
     for cfg in configs:
         spmv_recs = sweep_spmv(
@@ -241,51 +230,48 @@ def run_dse(
     return DseResult(cycles=cycles)
 
 
-def _run_dse_replay(
-    collection: MatrixCollection,
-    *,
+def _simulate_cells(
+    kernel: str,
     configs: List[ViaConfig],
+    collection: MatrixCollection,
     machine: MachineConfig,
     limit: Optional[int],
     spmm_collection: Optional[MatrixCollection],
     spmm_max_n: int,
     runner: Optional["RunnerConfig"],
-    record_dir: str,
-    engine: Optional[str] = None,
-    validate: bool = False,
-) -> DseResult:
-    """Record once per stream-shape group, replay once per configuration."""
+    record_dir: Optional[str],
+    validate: bool,
+) -> Dict[str, float]:
+    """Geomean VIA cycles of one kernel under each configuration.
+
+    With a ``record_dir`` the kernel runs functionally once per SSPM
+    capacity group (ports never shape the op stream, so configs differing
+    only in ports share recordings) and every configuration replays them.
+    """
     from repro.eval.harness import _run
     from repro.eval.units import record_units, replay_units
 
-    # one representative per shape group: ports never shape the op stream,
-    # so configs differing only in ports share recordings
-    representatives: Dict[int, ViaConfig] = {}
-    for cfg in configs:
-        representatives.setdefault(cfg.sram_kb, cfg)
-    for rep in representatives.values():
-        for kernel in DSE_KERNELS:
+    if record_dir is not None:
+        representatives: Dict[int, ViaConfig] = {}
+        for cfg in configs:
+            representatives.setdefault(cfg.sram_kb, cfg)
+        for rep in representatives.values():
             units, _ = _dse_unit_lists(
                 kernel, collection, rep, machine, limit,
                 spmm_collection, spmm_max_n, validate,
             )
             _run(record_units(units, record_dir=record_dir), runner, None)
-    cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
+    cycles: Dict[str, float] = {}
     for cfg in configs:
-        for kernel in DSE_KERNELS:
-            units, fmt = _dse_unit_lists(
-                kernel, collection, cfg, machine, limit,
-                spmm_collection, spmm_max_n, validate,
-            )
-            recs = _run(
-                replay_units(units, record_dir=record_dir, engine=engine),
-                runner,
-                None,
-            )
-            cycles[kernel][cfg.name] = geomean(
-                r.via_cycles[fmt] for r in recs
-            )
-    return DseResult(cycles=cycles)
+        units, fmt = _dse_unit_lists(
+            kernel, collection, cfg, machine, limit,
+            spmm_collection, spmm_max_n, validate,
+        )
+        if record_dir is not None:
+            units = replay_units(units, record_dir=record_dir)
+        recs = _run(units, runner, None)
+        cycles[cfg.name] = geomean(r.via_cycles[fmt] for r in recs)
+    return cycles
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +354,6 @@ def _run_dse_guided(
     spmm_max_n: int,
     runner: Optional["RunnerConfig"],
     record_dir: Optional[str],
-    engine: Optional[str],
     validate: bool,
     model: Any,
     keep: float,
@@ -384,9 +369,6 @@ def _run_dse_guided(
     """
     if not (0.0 < keep <= 1.0):
         raise ValueError(f"guided_keep must be in (0, 1], got {keep}")
-    from repro.eval.harness import _run
-    from repro.eval.units import record_units, replay_units
-
     estimator = _resolve_estimator(model)
     target = max(1, math.ceil(len(configs) * keep))
     predicted: Dict[str, Dict[str, float]] = {}
@@ -411,35 +393,13 @@ def _run_dse_guided(
             pool = pool[: max(target, (len(pool) + 1) // 2)]
         survivors[kernel] = sorted(pool, key=lambda c: order[c.name])
 
-    cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
-    for kernel in DSE_KERNELS:
-        fmt = "csb" if kernel == "spmv" else "csr"
-        if record_dir is not None:
-            # record once per surviving capacity group, then replay
-            reps: Dict[int, ViaConfig] = {}
-            for cfg in survivors[kernel]:
-                reps.setdefault(cfg.sram_kb, cfg)
-            for rep in reps.values():
-                units, _ = _dse_unit_lists(
-                    kernel, collection, rep, machine, limit,
-                    spmm_collection, spmm_max_n, validate,
-                )
-                _run(
-                    record_units(units, record_dir=record_dir), runner, None
-                )
-        for cfg in survivors[kernel]:
-            units, _ = _dse_unit_lists(
-                kernel, collection, cfg, machine, limit,
-                spmm_collection, spmm_max_n, validate,
-            )
-            if record_dir is not None:
-                units = replay_units(
-                    units, record_dir=record_dir, engine=engine
-                )
-            recs = _run(units, runner, None)
-            cycles[kernel][cfg.name] = geomean(
-                r.via_cycles[fmt] for r in recs
-            )
+    cycles = {
+        kernel: _simulate_cells(
+            kernel, survivors[kernel], collection, machine, limit,
+            spmm_collection, spmm_max_n, runner, record_dir, validate,
+        )
+        for kernel in DSE_KERNELS
+    }
     return DseResult(
         cycles=cycles,
         strategy="guided",

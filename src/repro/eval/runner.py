@@ -582,13 +582,11 @@ def run_units(
     state = _SweepState(units, config, journal, cache, progress)
     counters = state.counters
     run_start = time.perf_counter()
-    # engine observability: attribute in-process engine fallbacks and
-    # builder flushes to this sweep (deltas of process-wide counters;
-    # parallel workers narrate in their own processes and under-count)
-    from repro.sim.columnar import engine_fallback_count
+    # attribute in-process builder flushes to this sweep (a delta of a
+    # process-wide counter; parallel workers narrate in their own
+    # processes and under-count)
     from repro.sim.core import narration_flush_count
 
-    fallback_start = engine_fallback_count()
     flush_start = narration_flush_count()
     my_pid = os.getpid()
     pending: List[Tuple[int, WorkUnit]] = []
@@ -690,7 +688,6 @@ def run_units(
                 )
     finally:
         counters.wall_seconds = time.perf_counter() - run_start
-        counters.engine_fallback = engine_fallback_count() - fallback_start
         counters.narration_flushes = narration_flush_count() - flush_start
         journal.close()
     return state.assemble()

@@ -30,8 +30,10 @@ clients can match them.
 submissions are refused with code ``draining``, queued jobs are cancelled
 with structured payloads, in-flight jobs run to completion, every blocked
 waiter receives its response, and only then do the sockets close and the
-worker pool's subprocesses get reaped.  No response is ever dropped on
-the floor, and no worker process outlives the server.
+worker pool's subprocesses get reaped.  The sockets close once no
+request has been in flight for :data:`DRAIN_QUIET_S`, so an idle client
+never holds shutdown up.  No response is ever dropped on the floor, and
+no worker process outlives the server.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ PROTOCOL_VERSION = 1
 
 #: default cap on one request line (a malformed client must not OOM us)
 MAX_LINE_BYTES = 1 << 20
+
+#: during drain, connections close once no request has been in flight or
+#: started for this long (a client reading results one by one sends its
+#: next request well inside it); busy ones close after DRAIN_GRACE_S anyway
+DRAIN_QUIET_S = 0.2
+DRAIN_GRACE_S = 5.0
 
 
 def _error_response(req_id, exc: BaseException) -> Dict[str, Any]:
@@ -74,7 +82,9 @@ class ViaServer:
         self.port = port
         self.ready_file = ready_file
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set = set()
+        #: connection handler task -> its in-flight request tasks
+        self._connections: Dict["asyncio.Task[None]", set] = {}
+        self._requests_started = 0
         self._shutdown = asyncio.Event()
         self._drain_started = False
 
@@ -129,15 +139,11 @@ class ViaServer:
             return
         self._drain_started = True
         summary = await self.scheduler.drain()
-        # every job is now terminal, so blocked waiters resolve promptly;
-        # give their handlers a bounded window to write responses
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=5.0)
         if self._server is not None:
             self._server.close()
+        await self._close_connections()
+        if self._server is not None:
             await self._server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
         await self.scheduler.stop()
         print(
             f"serve: drained (cancelled {summary['cancelled']} queued, "
@@ -146,14 +152,39 @@ class ViaServer:
             flush=True,
         )
 
+    async def _close_connections(self) -> None:
+        """Close every connection once the service has gone quiet.
+
+        Every job is terminal by now, so blocked waiters resolve promptly
+        and their handlers write the responses.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_GRACE_S
+        while self._connections and loop.time() < deadline:
+            busy = [t for reqs in self._connections.values() for t in reqs]
+            if busy:
+                await asyncio.wait(busy, timeout=deadline - loop.time())
+                continue
+            started = self._requests_started
+            await asyncio.sleep(DRAIN_QUIET_S)
+            if self._requests_started == started:
+                break
+        tasks = list(self._connections)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            # a cancelled handler still finishes writing the requests it
+            # had already read before it closes its socket
+            await asyncio.wait(tasks, timeout=1.0)
+
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
         write_lock = asyncio.Lock()
         request_tasks: set = set()
+        if task is not None:
+            self._connections[task] = request_tasks
+            task.add_done_callback(lambda t: self._connections.pop(t, None))
 
         async def respond(payload: Dict[str, Any]) -> None:
             data = (json.dumps(payload) + "\n").encode("utf-8")
@@ -198,6 +229,7 @@ class ViaServer:
                     break
                 if not line.strip():
                     continue
+                self._requests_started += 1
                 sub = asyncio.create_task(serve_one(line))
                 request_tasks.add(sub)
                 sub.add_done_callback(request_tasks.discard)

@@ -6,8 +6,8 @@ Narration reaches a backend in one of two shapes.  Batch-capable backends
 narration buffer via :meth:`Backend.flush` — the hot path, no per-op
 objects.  Batch-incapable backends (tracing) and directly-injected ops
 arrive one :class:`~repro.sim.ops.Op` at a time through
-:meth:`Backend.handle`, priced by :meth:`Op.apply` — the scalar reference
-engine.  Both shapes mutate the same core counters and are bit-identical.
+:meth:`Backend.handle`, priced by :meth:`Op.apply`.  Both shapes mutate
+the same core counters and are bit-identical.
 
 * :class:`DirectBackend` — price immediately and retain nothing (the
   default);
@@ -24,16 +24,15 @@ engine.  Both shapes mutate the same core counters and are bit-identical.
   conservation laws (gem5-style runtime self-checking): monotone
   non-negative counters, cache hit totals that account for every line
   access, bounded branch mispredicts, SSPM occupancy within capacity.
-  Per-op deltas are checked on the scalar path; flushes are validated at
+  Per-op narration is checked op by op; flushes are validated at
   batch granularity — structurally via
   :func:`~repro.sim.columnar.check_columnar_invariants` plus the same
   counter-delta laws over the whole batch.
 
 Replay is not a backend but a driver: :func:`replay_recording` re-prices a
-recorded stream on a *fresh* core configured with the target machine/VIA
-pair, through either pricing engine.  Because direct execution prices ops
-through the very same kernels, replayed results are bit-identical by
-construction.
+recorded stream under the target machine/VIA pair on fresh caches, through
+the columnar kernels.  Because direct execution prices ops through the very
+same kernels, replayed results are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -41,24 +40,21 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from typing import TYPE_CHECKING, List, Optional, Union, cast
+from typing import TYPE_CHECKING, List, Optional, Union
 
-from repro.errors import InvariantError, SimulationError
+from repro.errors import InvariantError
 from repro.sim.config import MachineConfig
 from repro.sim.ops import (
-    AllocOp,
     Op,
     PricedState,
     Recording,
     ReplayMismatchError,
-    ViaOpRecord,
     stream_shape_key,
-    via_totals,
 )
 from repro.sim.stats import OpCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.columnar import ColumnarOps, FlushBatch
+    from repro.sim.columnar import ColumnarOps, ColumnarPriced, FlushBatch
     from repro.sim.core import Core
     from repro.sim.stats import KernelResult
     from repro.sim.trace import Trace
@@ -70,10 +66,7 @@ class Backend:
 
     Subclasses advertising :attr:`batch_capable` receive buffered
     narration as :meth:`flush` calls instead of per-op :meth:`handle`
-    calls; the base :meth:`flush` is a reference implementation that
-    materializes the batch back into ops and handles them one by one
-    (alloc rows excepted — a batched core allocates eagerly at narration
-    time, so re-applying the op would corrupt the address space).
+    calls, and must implement :meth:`flush`.
     """
 
     #: whether this backend accepts whole flush batches; cores only build
@@ -84,11 +77,8 @@ class Backend:
         op.apply(core)
 
     def flush(self, batch: "FlushBatch", core: "Core") -> None:
-        """Price one narration batch (reference implementation: per-op)."""
-        for op in batch.cols.to_ops():
-            if isinstance(op, AllocOp):
-                continue
-            self.handle(op, core)
+        """Price one narration batch (batch-capable backends only)."""
+        raise NotImplementedError
 
     def on_finalize(self, core: "Core", name: str, output: object) -> None:
         """Called by :meth:`Core.finalize` before the result is built."""
@@ -117,8 +107,8 @@ class RecorderBackend(Backend):
     stitched with :func:`~repro.sim.columnar.concat_columnar` at finalize,
     so the recording carries native struct-of-arrays columns end to end —
     no ``Op`` object is ever built on this path.  Ops injected directly
-    (scalar mode, traced cores, tests) are captured per-op; a mixed stream
-    falls back to an op-list recording, preserving order.
+    (batch-incapable subclasses, tests) are captured per-op and converted
+    to columns at finalize, in stream order.
     """
 
     def __init__(self) -> None:
@@ -141,24 +131,23 @@ class RecorderBackend(Backend):
         from repro.sim.columnar import ColumnarOps, concat_columnar
 
         via_cfg = core.via.config if core.via is not None else None
-        events = self._events
-        cols_arg: Optional["ColumnarOps"] = None
-        ops_arg: Optional[List[Op]] = None
-        if events and all(isinstance(e, ColumnarOps) for e in events):
-            cols_arg = concat_columnar(cast("List[ColumnarOps]", events))
-        else:
-            ops_arg = []
-            for event in events:
-                if isinstance(event, ColumnarOps):
-                    ops_arg.extend(event.to_ops())
-                else:
-                    ops_arg.append(event)
+        blocks: List[ColumnarOps] = []
+        run: List[Op] = []
+        for event in self._events:
+            if isinstance(event, Op):
+                run.append(event)
+                continue
+            if run:
+                blocks.append(ColumnarOps.from_ops(run))
+                run = []
+            blocks.append(event)
+        if run:
+            blocks.append(ColumnarOps.from_ops(run))
         self.recording = Recording(
             name=name,
             machine=core.machine,
             via_config=via_cfg,
-            ops=ops_arg,
-            columnar=cols_arg,
+            columnar=concat_columnar(blocks),
             output=output,
             priced=PricedState(
                 counters=dataclasses.replace(core.counters),
@@ -362,34 +351,23 @@ class InvariantBackend(Backend):
 #: threads, so the per-machine pricing memo is cross-thread shared state
 _MEMO_LOCK = threading.Lock()
 
-#: replay pricing engines: ``scalar`` walks :meth:`Op.apply` one record at
-#: a time; ``columnar`` prices whole streams as array arithmetic
-#: (:mod:`repro.sim.columnar`), bit-identical per its integral-latency
-#: contract
-REPLAY_ENGINES = ("scalar", "columnar")
-
-#: engine used when callers do not choose one; flipping this to
-#: ``columnar`` is gated on the differential CI matrix staying green
-DEFAULT_REPLAY_ENGINE = "scalar"
-
-
 def replay_recording(
     recording: Recording,
     *,
     machine: Optional[MachineConfig] = None,
     via_config: Optional["ViaConfig"] = None,
-    engine: Optional[str] = None,
     validate: bool = False,
 ) -> "KernelResult":
     """Re-price a recorded op stream under a target configuration.
 
-    No functional numpy runs: a fresh core (cold caches, same bump-allocated
-    address space) prices the recorded ops in order, and the recorded
-    functional output is attached to the result.  The target must be
-    stream-shape compatible with the recording (same vector lanes, L1
-    latency, and SSPM capacity — see :func:`~repro.sim.ops.stream_shape_key`);
-    anything else, notably SSPM *port* counts and all pure-pricing machine
-    knobs, may differ freely.
+    No functional numpy runs: the recorded stream is priced as whole
+    columns (:mod:`repro.sim.columnar`) on fresh cold caches with the same
+    bump-allocated address space, and the recorded functional output is
+    attached to the result.  The target must be stream-shape compatible
+    with the recording (same vector lanes, L1 latency, and SSPM capacity —
+    see :func:`~repro.sim.ops.stream_shape_key`); anything else, notably
+    SSPM *port* counts and all pure-pricing machine knobs, may differ
+    freely.
 
     Raises :class:`~repro.sim.ops.ReplayMismatchError` if the target would
     have produced a different op stream.
@@ -400,52 +378,30 @@ def replay_recording(
       :class:`~repro.sim.ops.PricedState` already holds every counter the
       ports cannot touch, so only the VIA ops are re-priced — pure
       arithmetic, no cache simulation;
-    * **different machine**: the machine-dependent ops replay through the
-      detailed model on a fresh core (memoized per target machine on the
-      recording), and the VIA-op totals are added on top — VIA ops never
-      touch the memory hierarchy, so the split is exact.
+    * **different machine**: the machine-dependent ops replay through
+      :func:`~repro.sim.columnar.price_columnar` (memoized per target
+      machine on the recording), and the VIA-op totals are added on top —
+      VIA ops never touch the memory hierarchy, so the split is exact.
 
-    With ``validate=True`` the replay self-checks: a cross-machine memory
-    pass prices ops through an :class:`InvariantBackend` (scalar engine) or
-    :func:`repro.sim.columnar.check_columnar_invariants` (columnar engine),
-    and every path runs :func:`check_result_invariants` over the finished
+    With ``validate=True`` the replay self-checks: the stream runs through
+    :func:`repro.sim.columnar.check_columnar_invariants` (and a
+    cross-machine memory pass checks its finished counters too), and
+    every path runs :func:`check_result_invariants` over the finished
     result — so a corrupt or mis-priced artifact raises
     :class:`~repro.errors.InvariantError` instead of producing a silently
     wrong number.  Validation never changes the result.
-
-    ``engine`` selects the pricing implementation (default
-    :data:`DEFAULT_REPLAY_ENGINE`): ``columnar`` re-prices the stream as
-    whole-array NumPy kernels, bit-identical to ``scalar`` under the
-    integral-latency contract — a machine carrying fractional cache/DRAM
-    latencies falls back to the scalar engine *loudly*, via
-    :class:`~repro.sim.columnar.EngineFallbackWarning` (once per config)
-    and the process-wide
-    :func:`~repro.sim.columnar.engine_fallback_count` counter surfaced in
-    sweep and serve metrics (see DESIGN.md §9).
     """
-    from repro.sim.core import Core, build_result
+    from repro.sim.columnar import (
+        check_columnar_invariants,
+        columnar_via_totals,
+        price_columnar,
+    )
+    from repro.sim.core import build_result
 
     if machine is None:
         machine = recording.machine
     if via_config is None:
         via_config = recording.via_config
-    if engine is None:
-        engine = DEFAULT_REPLAY_ENGINE
-    if engine not in REPLAY_ENGINES:
-        raise SimulationError(
-            f"unknown replay engine {engine!r}; expected one of {REPLAY_ENGINES}"
-        )
-    if engine == "columnar":
-        from repro.sim.columnar import (
-            machine_latencies_integral,
-            note_engine_fallback,
-        )
-
-        if not machine_latencies_integral(machine):
-            # the bit-identity contract only covers integer cycle
-            # arithmetic; fractional latencies reorder float sums
-            note_engine_fallback(machine, context="replay")
-            engine = "scalar"
     target_key = stream_shape_key(machine, via_config)
     if target_key != recording.shape_key:
         raise ReplayMismatchError(
@@ -466,91 +422,43 @@ def replay_recording(
         via_leak = area.leakage_mw(via_config)
     else:
         via_leak = 0.0
-    if engine == "columnar":
-        from repro.sim.columnar import (
-            check_columnar_invariants,
-            columnar_via_totals,
-        )
-
-        cols = recording.columnar()
-        via_side = columnar_via_totals(cols, via_config)
-        if validate:
-            check_columnar_invariants(cols)
-    else:
-        via_side = via_totals(recording.ops, via_config)
+    cols = recording.columnar()
+    via_side = columnar_via_totals(cols, via_config)
+    if validate:
+        check_columnar_invariants(cols)
+    state: Union[PricedState, "ColumnarPriced"]
     if recording.priced is not None and machine == recording.machine:
-        p = recording.priced
-        counters = dataclasses.replace(p.counters)
+        # the stored state already counts the VIA ops; only their port
+        # occupancy depends on the target
+        state = recording.priced
+        counters = dataclasses.replace(state.counters)
         counters.sspm_busy_cycles = via_side.sspm_busy_cycles
-        result = build_result(
-            name=name,
-            machine=machine,
-            counters=counters,
-            dram_occupancy_cycles=p.dram_occupancy_cycles,
-            dram_traffic_bytes=p.dram_traffic_bytes,
-            dram_lines=p.dram_lines,
-            cache_stats={k: dict(v) for k, v in p.cache_stats.items()},
-            via_leakage_mw=via_leak,
-            output=recording.output,
-        )
-        return check_result_invariants(result) if validate else result
-    if engine == "columnar":
-        from repro.sim.columnar import price_columnar
-
-        memo_key = ("columnar", machine)
+    else:
         with _MEMO_LOCK:
-            cp = recording._machine_memo.get(memo_key)
-        if cp is None:
-            cp = price_columnar(cols, machine, validate=validate)
+            memo = recording._machine_memo.get(machine)
+        if memo is None:
+            memo = price_columnar(cols, machine, validate=validate)
             with _MEMO_LOCK:
-                # same first-writer-wins discipline as the scalar core memo
-                cp = recording._machine_memo.setdefault(memo_key, cp)
-        counters = dataclasses.replace(cp.counters)
+                # recordings are shared across serve executor threads via
+                # the store's load memo; a concurrent pricer may have won
+                # the race to populate this machine's entry — keep the
+                # first pass so every thread reads the same one
+                memo = recording._machine_memo.setdefault(machine, memo)
+        state = memo
+        counters = dataclasses.replace(state.counters)
         counters.via_instructions += via_side.via_instructions
         counters.vector_uops += via_side.vector_uops
         counters.sspm_accesses += via_side.sspm_accesses
         counters.cam_searches += via_side.cam_searches
         counters.sspm_busy_cycles += via_side.sspm_busy_cycles
-        result = build_result(
-            name=name,
-            machine=machine,
-            counters=counters,
-            dram_occupancy_cycles=cp.dram_occupancy_cycles,
-            dram_traffic_bytes=cp.dram_traffic_bytes,
-            dram_lines=cp.dram_lines,
-            cache_stats={k: dict(v) for k, v in cp.cache_stats.items()},
-            via_leakage_mw=via_leak,
-            output=recording.output,
-        )
-        return check_result_invariants(result) if validate else result
-    with _MEMO_LOCK:
-        core = recording._machine_memo.get(machine)
-    if core is None:
-        backend = InvariantBackend() if validate else DirectBackend()
-        core = Core(machine, backend=backend)
-        for op in recording.ops:
-            if not isinstance(op, ViaOpRecord):
-                backend.handle(op, core)
-        with _MEMO_LOCK:
-            # recordings are shared across serve executor threads via the
-            # store's load memo; a concurrent pricer may have won the race
-            # to populate this machine's entry — keep the first core so
-            # every thread reads the same one
-            core = recording._machine_memo.setdefault(machine, core)
-    counters = dataclasses.replace(core.counters)
-    counters.via_instructions += via_side.via_instructions
-    counters.vector_uops += via_side.vector_uops
-    counters.sspm_accesses += via_side.sspm_accesses
-    counters.cam_searches += via_side.cam_searches
-    counters.sspm_busy_cycles += via_side.sspm_busy_cycles
     result = build_result(
         name=name,
         machine=machine,
         counters=counters,
-        dram_occupancy_cycles=core.memory.dram.occupancy_cycles(),
-        dram_traffic_bytes=core.memory.dram.traffic_bytes,
-        dram_lines=core.memory.dram.stats.lines,
-        cache_stats=core.memory.level_stats(),
+        dram_occupancy_cycles=state.dram_occupancy_cycles,
+        dram_traffic_bytes=state.dram_traffic_bytes,
+        dram_lines=state.dram_lines,
+        cache_stats={k: dict(v) for k, v in state.cache_stats.items()},
         via_leakage_mw=via_leak,
         output=recording.output,
     )

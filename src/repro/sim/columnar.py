@@ -1,9 +1,9 @@
 """Columnar (struct-of-arrays) op streams and the vectorized pricing engine.
 
-The scalar pricing path walks a recorded stream one :class:`~repro.sim.ops.Op`
-object at a time.  This module re-expresses the same stream as per-field
-NumPy columns — mirroring the ``.npz`` artifact layout — and re-prices whole
-streams as array arithmetic:
+The reference semantics of a recorded stream is :meth:`~repro.sim.ops.Op.apply`
+walked one op at a time.  This module holds the same stream as per-field
+NumPy columns — mirroring the ``.npz`` artifact layout — and prices whole
+streams as array arithmetic; it is the only pricing engine production uses:
 
 * :func:`columnar_via_totals` prices every :class:`~repro.sim.ops.ViaOpRecord`
   of a stream in one vectorized pass (the port-dependent side of replay);
@@ -25,7 +25,8 @@ streams as array arithmetic:
 Bit-identity contract
 ---------------------
 
-Columnar replay is bit-identical to scalar replay because nothing about the
+Columnar pricing is bit-identical to the per-op ``Op.apply`` walk (which
+the test suite keeps as its reference) because nothing about the
 arithmetic is reordered where order could matter:
 
 * integer counters commute exactly under any summation order;
@@ -35,10 +36,9 @@ arithmetic is reordered where order could matter:
   accumulation performs the same left-to-right float64 additions as the
   scalar loop;
 * miss-latency sums stay exact under any order because cache and DRAM
-  latencies are integers (``CacheConfig.latency`` / ``dram_latency``), so
-  every per-line latency is an integer-valued float64.  When a machine
-  carries a non-integral latency, :func:`repro.sim.backends.replay_recording`
-  falls back to the scalar engine rather than risk reordered float error;
+  latencies are integers (``CacheConfig.latency`` / ``dram_latency``, both
+  checked when the config is built), so every per-line latency is an
+  integer-valued float64;
 * the stateful cache walk itself reuses the scalar model's
   :class:`~repro.sim.cache.Cache` objects in recorded op order — only the
   *attribution* of its outcomes is vectorized.
@@ -72,10 +72,8 @@ of int64 indices.  ``port_passes`` uses −1 for "not recorded",
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, cast
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -119,15 +117,11 @@ __all__ = [
     "ColumnarBuilder",
     "ColumnarOps",
     "ColumnarPriced",
-    "EngineFallbackWarning",
     "FlushBatch",
     "check_columnar_invariants",
     "columnar_via_totals",
     "concat_columnar",
-    "engine_fallback_count",
     "machine_latency_table",
-    "machine_latencies_integral",
-    "note_engine_fallback",
     "price_columnar",
     "price_flush",
 ]
@@ -400,7 +394,7 @@ class ColumnarOps:
         )
 
     def to_ops(self) -> List[Op]:
-        """Materialize the columns back into op records (scalar engine)."""
+        """Materialize the columns back into op records (per-op path, tests)."""
         ops: List[Op] = []
         names = self.names
         pool = self.pool
@@ -509,22 +503,32 @@ def _port_cycles_vec(
 def columnar_via_totals(
     cols: ColumnarOps, via_config: Optional["ViaConfig"]
 ) -> OpCounters:
-    """Vectorized twin of :func:`repro.sim.ops.via_totals`.
+    """Counter contributions of a stream's VIA ops under a port configuration.
 
-    The integer counters are plain masked sums (exact under any order);
-    ``sspm_busy_cycles`` is the last element of an ``np.cumsum`` over the
-    per-op busy terms, which performs the identical left-to-right float64
-    additions as the scalar accumulation loop — bit-identical, not merely
-    close.
+    Exactly what each :class:`~repro.sim.ops.ViaOpRecord` would add to a
+    live core's counters, starting from zero: the whole port-dependent
+    side of pricing.
     """
     totals = OpCounters()
+    _add_via_rows(cols, via_config, totals)
+    return totals
+
+
+def _add_via_rows(
+    cols: ColumnarOps, via_config: Optional["ViaConfig"], counters: OpCounters
+) -> None:
+    """Fold a stream's VIA ops into ``counters`` under a port configuration.
+
+    The integer counters are plain masked sums (exact under any order);
+    ``sspm_busy_cycles`` accumulates the per-op busy terms left to right on
+    top of its current value (:func:`_seeded_cumsum`), the same float64
+    additions as the per-op walk — bit-identical, not merely close.
+    """
     mask = cols.kinds == _VIA
     if not mask.any():
-        return totals
+        return
     cnt = cols.count[mask]
     se = cols.aux[mask]
-    cs = cols.misc[mask]
-    pp = cols.extra[mask]
     pc = cols.fval[mask]
     derive = np.isnan(pc)
     if derive.any():
@@ -532,15 +536,14 @@ def columnar_via_totals(
             raise SimulationError(
                 "cannot price a VIA op without a VIA configuration"
             )
-        derived = _port_cycles_vec(se, pp, via_config.ports)
+        derived = _port_cycles_vec(se, cols.extra[mask], via_config.ports)
         pc = np.where(derive, derived.astype(np.float64), pc)
+    counters.via_instructions += int(cnt.sum())
+    counters.vector_uops += int(cnt.sum())
+    counters.sspm_accesses += int((se * cnt).sum())
+    counters.cam_searches += int((cols.misc[mask] * cnt).sum())
     terms = (pc + float(cal.COMMIT_ISSUE_OVERHEAD)) * cnt
-    totals.via_instructions = int(cnt.sum())
-    totals.vector_uops = int(cnt.sum())
-    totals.sspm_accesses = int((se * cnt).sum())
-    totals.cam_searches = int((cs * cnt).sum())
-    totals.sspm_busy_cycles = float(np.cumsum(terms)[-1])
-    return totals
+    counters.sspm_busy_cycles = _seeded_cumsum(counters.sspm_busy_cycles, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -562,23 +565,6 @@ def machine_latency_table(machine: MachineConfig) -> _FloatArray:
         ],
         dtype=np.float64,
     )
-
-
-def machine_latencies_integral(machine: MachineConfig) -> bool:
-    """Whether every memory latency is a whole number of cycles.
-
-    The columnar engine's miss-latency sums are order-free only because
-    per-line latencies are integer-valued; a machine configured with a
-    fractional latency must be priced by the scalar engine instead (see
-    the module docstring's bit-identity contract).
-    """
-    values = (
-        machine.l1.latency,
-        machine.l2.latency,
-        machine.l3.latency,
-        machine.dram_latency,
-    )
-    return all(float(v) == float(int(v)) for v in values)
 
 
 @dataclass
@@ -947,11 +933,6 @@ def price_columnar(
     through :func:`check_columnar_invariants` (the whole-array twin of the
     per-op :class:`~repro.sim.backends.InvariantBackend`).
     """
-    if not machine_latencies_integral(machine):
-        raise SimulationError(
-            "columnar pricing requires integer cache/DRAM latencies "
-            "(use the scalar engine for fractional-latency machines)"
-        )
     counters = OpCounters()
     _accumulate_compute(cols, counters)
 
@@ -1394,29 +1375,9 @@ def price_flush(batch: FlushBatch, core: "Core") -> None:
             mh.dram,
             counters,
         )
-    via_mask = cols.kinds == _VIA
-    if via_mask.any():
-        cnt = cols.count[via_mask]
-        se = cols.aux[via_mask]
-        cs = cols.misc[via_mask]
-        pp = cols.extra[via_mask]
-        pc = cols.fval[via_mask]
-        derive = np.isnan(pc)
-        if derive.any():
-            if core.via is None:
-                raise SimulationError(
-                    "cannot price a VIA op on a core without a VIA device"
-                )
-            derived = _port_cycles_vec(se, pp, core.via.config.ports)
-            pc = np.where(derive, derived.astype(np.float64), pc)
-        counters.via_instructions += int(cnt.sum())
-        counters.vector_uops += int(cnt.sum())
-        counters.sspm_accesses += int((se * cnt).sum())
-        counters.cam_searches += int((cs * cnt).sum())
-        terms = (pc + float(cal.COMMIT_ISSUE_OVERHEAD)) * cnt
-        counters.sspm_busy_cycles = _seeded_cumsum(
-            counters.sspm_busy_cycles, terms
-        )
+    _add_via_rows(
+        cols, core.via.config if core.via is not None else None, counters
+    )
 
 
 def concat_columnar(chunks: Sequence[ColumnarOps]) -> ColumnarOps:
@@ -1476,59 +1437,6 @@ def concat_columnar(chunks: Sequence[ColumnarOps]) -> ColumnarOps:
         pool=np.concatenate([c.pool for c in chunks]),
         names=tuple(merged),
     )
-
-
-# ---------------------------------------------------------------------------
-# Engine-fallback accounting (the loud scalar fallback)
-# ---------------------------------------------------------------------------
-class EngineFallbackWarning(UserWarning):
-    """A record or replay path fell back to the scalar ``Op.apply`` engine."""
-
-
-_FALLBACK_LOCK = threading.Lock()
-_FALLBACK_WARNED: Set[Tuple[str, float, float, float, float]] = set()
-_FALLBACK_COUNT = 0
-
-
-def note_engine_fallback(machine: MachineConfig, *, context: str) -> None:
-    """Record (and warn once per configuration) a scalar-engine fallback.
-
-    The columnar engine refuses machines with fractional cache/DRAM
-    latencies (see the module docstring's bit-identity contract), so both
-    batched narration and columnar replay price such machines with the
-    scalar walk instead.  Every occurrence bumps a process-wide counter —
-    surfaced as ``engine_fallback`` in sweep counters and serve metrics —
-    and the first occurrence per (context, latency profile) emits an
-    :class:`EngineFallbackWarning` so users can tell which engine priced
-    their sweep.
-    """
-    global _FALLBACK_COUNT
-    key = (
-        context,
-        float(machine.l1.latency),
-        float(machine.l2.latency),
-        float(machine.l3.latency),
-        float(machine.dram_latency),
-    )
-    with _FALLBACK_LOCK:
-        _FALLBACK_COUNT += 1
-        first = key not in _FALLBACK_WARNED
-        if first:
-            _FALLBACK_WARNED.add(key)
-    if first:
-        warnings.warn(
-            f"non-integral cache/DRAM latency on {context}: pricing with "
-            "the scalar engine (columnar bit-identity requires integer "
-            "latencies); results are identical, just slower",
-            EngineFallbackWarning,
-            stacklevel=3,
-        )
-
-
-def engine_fallback_count() -> int:
-    """Process-wide count of scalar-engine fallback events (monotone)."""
-    with _FALLBACK_LOCK:
-        return _FALLBACK_COUNT
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,22 @@ processor (pipeline widths, vector unit, cache hierarchy, DRAM) and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.sim import calibration as cal
+
+
+def _check_integral_latency(name: str, value: object) -> None:
+    """Cache and DRAM latencies must be whole cycles (``bool`` is not).
+
+    Columnar pricing sums per-line miss latencies in whatever order its
+    reductions run; that is exact only because every latency is an
+    integer (see :mod:`repro.sim.columnar`).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer cycle count, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -23,6 +35,7 @@ class CacheConfig:
     line_bytes: int = cal.CACHE_LINE_BYTES
 
     def __post_init__(self):
+        _check_integral_latency("cache latency", self.latency)
         if self.size_kb <= 0 or self.ways <= 0 or self.latency <= 0:
             raise ConfigError(f"invalid cache config: {self}")
         size_bytes = self.size_kb * 1024
@@ -75,6 +88,7 @@ class MachineConfig:
             raise ConfigError("vector_lanes must be positive")
         if self.dram_bw_bytes_per_cycle <= 0:
             raise ConfigError("DRAM bandwidth must be positive")
+        _check_integral_latency("dram_latency", self.dram_latency)
 
     @property
     def vl(self) -> int:

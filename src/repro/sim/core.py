@@ -8,11 +8,9 @@ can consume batches (all pricing backends can), each narration call appends
 one row to an in-core :class:`~repro.sim.columnar.ColumnarBuilder` and the
 buffered rows flush through the columnar pricing kernels
 (:func:`~repro.sim.columnar.price_flush`) — no per-op
-:class:`~repro.sim.ops.Op` object is ever allocated on the hot path.  The
-scalar path (one ``Op`` per call, priced through :meth:`Op.apply`) is
-retained as the reference engine: it serves batch-incapable backends
-(tracing), machines whose latencies break the columnar bit-identity
-contract, and ``set_narration_mode("scalar")``.  Both paths produce
+:class:`~repro.sim.ops.Op` object is ever allocated on the hot path.
+Batch-incapable backends (tracing) get the per-op path instead: one ``Op``
+per call, priced through :meth:`Op.apply`.  Both paths produce
 bit-identical counters; the differential suite pins this.
 
 :meth:`Core.finalize` combines the counters into cycles with an
@@ -77,49 +75,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _LINE = cal.CACHE_LINE_BYTES
 
 # ---------------------------------------------------------------------------
-# Narration mode (process-wide)
+# Batched narration
 # ---------------------------------------------------------------------------
 #: rows buffered core-side before a batch flushes through the columnar
 #: pricing kernels; large enough that flush overhead amortizes, small
 #: enough that a sweep's peak buffered state stays a few hundred KB
 DEFAULT_FLUSH_OPS = 8192
 
-_VALID_NARRATION_MODES = ("batched", "scalar")
-_narration_mode = "batched"
 _FLUSH_LOCK = threading.Lock()
 _flush_count = 0
-
-
-def set_narration_mode(mode: str) -> str:
-    """Select how cores buffer narration; returns the previous mode.
-
-    ``batched`` (the default) buffers rows in a
-    :class:`~repro.sim.columnar.ColumnarBuilder` and prices them in
-    batches; ``scalar`` restores the per-op ``Op.apply`` reference path.
-    Affects cores constructed *after* the call (each core binds its mode
-    in ``__init__``/backend swaps).  Benchmarks and the differential
-    suite flip this to compare engines::
-
-        previous = set_narration_mode("scalar")
-        try:
-            ...
-        finally:
-            set_narration_mode(previous)
-    """
-    global _narration_mode
-    if mode not in _VALID_NARRATION_MODES:
-        raise SimulationError(
-            f"unknown narration mode {mode!r}; "
-            f"expected one of {_VALID_NARRATION_MODES}"
-        )
-    previous = _narration_mode
-    _narration_mode = mode
-    return previous
-
-
-def narration_mode() -> str:
-    """The process-wide narration mode (``batched`` or ``scalar``)."""
-    return _narration_mode
 
 
 def narration_flush_count() -> int:
@@ -308,7 +272,6 @@ class Core:
         )
         self._flush_ops = max(1, int(flush_ops))
         self._builder: Optional["ColumnarBuilder"] = None
-        self._fallback_pending = False
         self.via = via
         if via is not None:
             via.attach(self)
@@ -323,7 +286,7 @@ class Core:
 
         Reading them drains the narration buffer first, so mid-kernel
         observers (invariant checks, tests, the VIA engine) always see
-        totals identical to the scalar path's.
+        totals identical to the per-op path's.
         """
         b = self._builder
         if b is not None and b.rows:
@@ -349,21 +312,10 @@ class Core:
 
     def _refresh_mode(self) -> None:
         self._builder = None
-        self._fallback_pending = False
-        if not (self._backend.batch_capable and narration_mode() == "batched"):
-            return
-        from repro.sim.columnar import (
-            ColumnarBuilder,
-            machine_latencies_integral,
-        )
+        if self._backend.batch_capable:
+            from repro.sim.columnar import ColumnarBuilder
 
-        if not machine_latencies_integral(self.machine):
-            # columnar bit-identity needs integer cycle arithmetic; warn
-            # lazily at the first narrated op so cores that never narrate
-            # (replay memo cores) stay quiet
-            self._fallback_pending = True
-            return
-        self._builder = ColumnarBuilder()
+            self._builder = ColumnarBuilder()
 
     def _flush(self) -> None:
         """Price and hand off all buffered narration rows."""
@@ -380,15 +332,10 @@ class Core:
         """Route one narrated op through the backend (the IR seam).
 
         Batched cores flush first so a directly-injected op observes (and
-        is validated against) the same counter state as in scalar order.
+        is validated against) the same counter state as in per-op order.
         """
         if self._builder is not None:
             self._flush()
-        elif self._fallback_pending:
-            self._fallback_pending = False
-            from repro.sim.columnar import note_engine_fallback
-
-            note_engine_fallback(self.machine, context="narration")
         self._backend.handle(op, self)
 
     # ------------------------------------------------------------------

@@ -35,10 +35,9 @@ arrays — the op stream stored *columnar* (schema v2: one array per
 :data:`repro.sim.columnar.COLUMNS` field plus the shared int64 index pool,
 exactly the struct-of-arrays the vectorized engine prices), and the
 functional outputs.  Loading never materializes per-op Python objects:
-:class:`Recording` holds the columns and converts to an op list lazily only
-when the scalar engine asks.  Any truncation, tampering, or schema mismatch
-raises :class:`RecordingError` — callers treat that as a cache miss and
-re-record.
+:class:`Recording` holds the columns.  Any truncation, tampering, or schema
+mismatch raises :class:`RecordingError` — callers treat that as a cache
+miss and re-record.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import threading
 import zipfile
 from dataclasses import dataclass
 from typing import (
@@ -55,7 +53,6 @@ from typing import (
     Any,
     ClassVar,
     Dict,
-    List,
     Mapping,
     Optional,
     Tuple,
@@ -107,7 +104,6 @@ __all__ = [
     "machine_shape_key",
     "save_recordings",
     "stream_shape_key",
-    "via_totals",
 ]
 
 
@@ -705,44 +701,6 @@ OP_CLASSES: Dict[str, Type[Op]] = {
 }
 
 
-def via_totals(ops: List[Op], via_config: Optional["ViaConfig"]) -> OpCounters:
-    """Counter contributions of a stream's VIA ops under a port configuration.
-
-    Accumulates exactly what each :class:`ViaOpRecord` would add to a live
-    core's counters, in stream order, starting from zero — so the sums are
-    bit-identical to direct execution's (``sspm_busy_cycles`` receives
-    contributions from VIA ops only, and integer counters commute exactly).
-    This is the whole port-dependent side of pricing: replaying a recording
-    under a sibling port variant only needs this pass.
-    """
-    totals = OpCounters()
-    for op in ops:
-        if not isinstance(op, ViaOpRecord):
-            continue
-        port_cycles = op.port_cycles
-        if port_cycles is None:
-            if via_config is None:
-                raise SimulationError(
-                    "cannot price a VIA op without a VIA configuration"
-                )
-            from repro.via.fivu import FivuTiming
-
-            port_cycles = FivuTiming(
-                sspm_elements=op.sspm_elements,
-                cam_searches=op.cam_searches,
-                # __post_init__ guarantees port_passes when port_cycles is None
-                port_passes=cast(int, op.port_passes),
-            ).port_cycles(via_config)
-        totals.via_instructions += op.count
-        totals.vector_uops += op.count
-        totals.sspm_accesses += op.sspm_elements * op.count
-        totals.cam_searches += op.cam_searches * op.count
-        totals.sspm_busy_cycles += (
-            float(port_cycles) + cal.COMMIT_ISSUE_OVERHEAD
-        ) * op.count
-    return totals
-
-
 # ---------------------------------------------------------------------------
 # Recordings
 # ---------------------------------------------------------------------------
@@ -753,8 +711,9 @@ class PricedState:
     Everything :func:`repro.sim.core.build_result` needs, frozen at record
     time.  SSPM port counts touch exactly one of these numbers
     (``counters.sspm_busy_cycles``, recomputed per target by
-    :func:`via_totals`), so a same-machine replay is pure arithmetic over
-    this state — no cache re-simulation at all.
+    :func:`~repro.sim.columnar.columnar_via_totals`), so a same-machine
+    replay is pure arithmetic over this state — no cache re-simulation at
+    all.
     """
 
     counters: OpCounters
@@ -791,14 +750,13 @@ class Recording:
     the stream under any shape-compatible pair.  ``priced`` is the record
     run's pricing state (same-machine replays reuse it instead of
     re-simulating memory); ``_machine_memo`` caches the one memory pass a
-    cross-machine replay needs, keyed by target machine (and engine).
+    cross-machine replay needs, keyed by target machine.
 
-    The stream itself lives in whichever representation produced the
-    recording — an op list (recorder backend) or struct-of-arrays columns
-    (loaded v2 artifacts) — and converts to the other lazily, under a lock,
-    only when an engine asks: the columnar engine never materializes per-op
-    objects for a loaded artifact, and the scalar engine never pays for
-    columns it does not use.
+    The stream is held as struct-of-arrays columns
+    (:class:`~repro.sim.columnar.ColumnarOps`), the representation both
+    the recorder and the artifact loader produce and pricing reads;
+    :meth:`~repro.sim.columnar.ColumnarOps.to_ops` materializes op records
+    for callers that want them.
     """
 
     def __init__(
@@ -806,72 +764,40 @@ class Recording:
         name: str,
         machine: MachineConfig,
         via_config: Optional["ViaConfig"],
-        ops: Optional[List[Op]] = None,
+        columnar: "ColumnarOps",
         output: Any = None,
         priced: Optional[PricedState] = None,
-        columnar: Optional["ColumnarOps"] = None,
     ) -> None:
-        if ops is None and columnar is None:
-            ops = []
         self.name = name
         self.machine = machine
         self.via_config = via_config
         self.output = output
         self.priced = priced
-        self._ops = ops
         self._columnar = columnar
-        #: per-(engine, machine) memoized memory passes; shared across serve
-        #: executor threads, guarded by backends._MEMO_LOCK
+        #: per-machine memoized memory passes; shared across serve executor
+        #: threads, guarded by backends._MEMO_LOCK
         self._machine_memo: Dict[Any, Any] = {}
-        self._lock = threading.Lock()
 
     @property
     def shape_key(self) -> Dict[str, Any]:
         return stream_shape_key(self.machine, self.via_config)
 
-    @property
-    def ops(self) -> List[Op]:
-        """The op stream as records, materialized from columns on demand."""
-        ops = self._ops
-        if ops is None:
-            with self._lock:
-                if self._ops is None:
-                    self._ops = cast("ColumnarOps", self._columnar).to_ops()
-                ops = self._ops
-        return ops
-
     def columnar(self) -> "ColumnarOps":
-        """The op stream as struct-of-arrays columns, converted on demand."""
-        cols = self._columnar
-        if cols is None:
-            # deferred: columnar imports this module at load time
-            from repro.sim.columnar import ColumnarOps
-
-            with self._lock:
-                if self._columnar is None:
-                    self._columnar = ColumnarOps.from_ops(
-                        cast(List[Op], self._ops)
-                    )
-                cols = self._columnar
-        return cols
+        """The op stream as struct-of-arrays columns."""
+        return self._columnar
 
     def replay(
         self,
         machine: Optional[MachineConfig] = None,
         via_config: Optional["ViaConfig"] = None,
         *,
-        engine: Optional[str] = None,
         validate: bool = False,
     ) -> "KernelResult":
         """Re-price this stream; see :func:`repro.sim.backends.replay_recording`."""
         from repro.sim.backends import replay_recording
 
         return replay_recording(
-            self,
-            machine=machine,
-            via_config=via_config,
-            engine=engine,
-            validate=validate,
+            self, machine=machine, via_config=via_config, validate=validate
         )
 
 
@@ -996,8 +922,8 @@ def save_recordings(
     Schema v2 stores each entry's op stream as its struct-of-arrays columns
     (``ops{i}_<column>`` plus ``ops{i}_pool``; see
     :class:`repro.sim.columnar.ColumnarOps`) — the exact representation the
-    vectorized engine prices, so loading is zero-copy into the columnar
-    path and only the scalar engine ever pays per-op materialization.
+    vectorized engine prices, so loading is zero-copy into the pricing
+    path and nothing pays per-op materialization unless it asks for it.
     """
     from repro.sim.columnar import COLUMNS
 

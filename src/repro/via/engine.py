@@ -19,7 +19,8 @@ with values stored in the SSPM"):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import weakref
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class ViaDevice:
     def __init__(self, config: ViaConfig = DEFAULT_VIA):
         self.config = config
         self.sspm = SSPM(config)
-        self._core = None
+        self._core_ref: Optional["weakref.ref[Any]"] = None
         self.instructions_executed = 0
         #: set to the machine's 32-bit VL by kernels operating on 4-byte
         #: elements (the SSPM's native block size) — doubles lanes per op
@@ -50,8 +51,19 @@ class ViaDevice:
 
     # ------------------------------------------------------------------
     def attach(self, core) -> None:
-        """Called by :class:`repro.sim.core.Core` when the device is fitted."""
-        self._core = core
+        """Called by :class:`repro.sim.core.Core` when the device is fitted.
+
+        The back-link is weak: the core owns the device, and a strong
+        reference back would make every fitted core a reference cycle that
+        only the cyclic garbage collector can free — holding each dead
+        core's cache model in memory until a full collection runs.
+        """
+        self._core_ref = weakref.ref(core)
+
+    @property
+    def _core(self):
+        ref = self._core_ref
+        return ref() if ref is not None else None
 
     @property
     def vl(self) -> int:

@@ -5,24 +5,26 @@ The batched narration pipeline replaces per-op ``Op`` construction in
 buffers narration and prices whole flushes through the columnar kernels.
 The contract is the same as every other engine seam in this repo:
 **bit-identical results** to the scalar ``Op.apply`` walk — not close,
-identical.
+identical.  The scalar side is per-op narration: a batch-incapable
+backend (``tests/scalar_reference.py``) makes a core price each op
+through ``Op.apply`` instead of buffering columnar flushes.
 
 Three layers of evidence:
 
 * the record-unit differential: recording every kernel family and SpMV
-  format under every Fig. 9 VIA config and two machines, once per
-  narration mode, must produce byte-equal sweep records (validation on,
-  so flush-granularity invariant checks ride along);
+  format under every Fig. 9 VIA config and two machines, batched and per
+  op, must produce byte-equal sweep records (validation on, so
+  flush-granularity invariant checks ride along);
 * direct-core narration across flush boundaries: flush sizes 1 (flush
   after every op), the builder's initial capacity (flush exactly as the
   buffer fills — never grows), and capacity+1 (one geometric growth,
   then flush), plus finalize-time partial flushes;
 * a hypothesis fuzz over random op sequences and flush sizes, comparing
-  finalized results between modes.
+  finalized results between batched and per-op narration.
 
-Also pins the mode surface itself: ``set_narration_mode`` validates and
-round-trips, flushes are counted, and the recorder keeps artifacts
-replayable across modes.
+Also pins the mode surface itself: the backend decides the narration
+mode, flushes are counted, a backend swap drains pending rows, and the
+recorder keeps artifacts replayable.
 """
 
 import numpy as np
@@ -30,7 +32,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.eval.units import (
     compute_unit,
     record_units,
@@ -46,30 +47,17 @@ from repro.sim.backends import (
     replay_recording,
 )
 from repro.sim.config import DEFAULT_MACHINE
-from repro.sim.core import (
-    DEFAULT_FLUSH_OPS,
-    Core,
-    narration_flush_count,
-    narration_mode,
-    set_narration_mode,
-)
+from repro.sim.core import DEFAULT_FLUSH_OPS, Core, narration_flush_count
 from repro.via.config import VIA_4_2P, VIA_16_2P, VIA_16_4P
 from repro.via.engine import ViaDevice
 
+from tests.scalar_reference import PerOpRecorder, per_op_narration, replay_scalar
 from tests.test_ops_replay_differential import assert_result_identical
 
 pytestmark = [pytest.mark.smoke, pytest.mark.columnar]
 
 #: the builder's initial capacity; flush sizes at/over it exercise growth
 _BUILDER_CAPACITY = 1024
-
-
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    """Every test leaves the process-wide narration mode as it found it."""
-    prev = narration_mode()
-    yield
-    set_narration_mode(prev)
 
 
 # ----------------------------------------------------------------------
@@ -106,20 +94,17 @@ def _narrate_everything(core):
 
 def _run_stream(mode, *, flush_ops=DEFAULT_FLUSH_OPS, backend=None,
                 validate=False):
-    prev = set_narration_mode(mode)
-    try:
-        backend = backend if backend is not None else RecorderBackend()
-        if validate:
-            backend = InvariantBackend(backend)
-        core = Core(
-            DEFAULT_MACHINE,
-            via=ViaDevice(VIA_16_2P),
-            backend=backend,
-            flush_ops=flush_ops,
-        )
-        return _narrate_everything(core)
-    finally:
-        set_narration_mode(prev)
+    if backend is None:
+        backend = PerOpRecorder() if mode == "scalar" else RecorderBackend()
+    if validate:
+        backend = InvariantBackend(backend)
+    core = Core(
+        DEFAULT_MACHINE,
+        via=ViaDevice(VIA_16_2P),
+        backend=backend,
+        flush_ops=flush_ops,
+    )
+    return _narrate_everything(core)
 
 
 class TestFlushBoundaries:
@@ -157,10 +142,10 @@ class TestFlushBoundaries:
     def test_batched_recording_replays_identically(self):
         recorder = RecorderBackend()
         got = _run_stream("batched", flush_ops=128, backend=recorder)
-        replayed = replay_recording(recorder.recording, engine="columnar")
+        replayed = replay_recording(recorder.recording, validate=True)
         assert_result_identical(replayed, got)
         assert_result_identical(
-            replay_recording(recorder.recording, engine="scalar"), got
+            replay_scalar(recorder.recording, validate=True), got
         )
 
 
@@ -190,14 +175,13 @@ def _unit_matrix(machine, via, collection):
 
 
 def _record_dicts(mode, machine, via, collection, record_dir):
-    prev = set_narration_mode(mode)
-    try:
-        units = record_units(
-            _unit_matrix(machine, via, collection), record_dir=record_dir
-        )
-        return [compute_unit(u).to_dict() for u in units]
-    finally:
-        set_narration_mode(prev)
+    units = record_units(
+        _unit_matrix(machine, via, collection), record_dir=record_dir
+    )
+    if mode == "scalar":
+        with per_op_narration():
+            return [compute_unit(u).to_dict() for u in units]
+    return [compute_unit(u).to_dict() for u in units]
 
 
 class TestRecordUnitDifferential:
@@ -286,21 +270,18 @@ def _apply(core, arr, op, seed):
 )
 def test_fuzzed_streams_bit_identical(ops, flush_ops):
     results = {}
-    for mode in ("scalar", "batched"):
-        prev = set_narration_mode(mode)
-        try:
-            core = Core(
-                DEFAULT_MACHINE,
-                via=ViaDevice(VIA_16_2P),
-                backend=RecorderBackend(),
-                flush_ops=flush_ops,
-            )
-            arr = core.alloc("buf", 1024, 8)
-            for i, op in enumerate(ops):
-                _apply(core, arr, op, i)
-            results[mode] = core.finalize("fuzz")
-        finally:
-            set_narration_mode(prev)
+    for mode, backend in (("scalar", PerOpRecorder()),
+                          ("batched", RecorderBackend())):
+        core = Core(
+            DEFAULT_MACHINE,
+            via=ViaDevice(VIA_16_2P),
+            backend=backend,
+            flush_ops=flush_ops,
+        )
+        arr = core.alloc("buf", 1024, 8)
+        for i, op in enumerate(ops):
+            _apply(core, arr, op, i)
+        results[mode] = core.finalize("fuzz")
     assert_result_identical(results["batched"], results["scalar"])
 
 
@@ -309,19 +290,15 @@ def test_fuzzed_streams_bit_identical(ops, flush_ops):
 # ----------------------------------------------------------------------
 class TestModeSurface:
     def test_default_is_batched(self):
-        assert narration_mode() == "batched"
-
-    def test_set_returns_previous_and_round_trips(self):
-        assert set_narration_mode("scalar") == "batched"
-        assert narration_mode() == "scalar"
-        assert set_narration_mode("batched") == "scalar"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError, match="unknown narration mode"):
-            set_narration_mode("turbo")
+        """A default core narrates through columnar flushes; only a
+        batch-incapable backend gets the per-op path."""
+        before = narration_flush_count()
+        _run_stream("scalar")
+        assert narration_flush_count() == before
+        _run_stream("batched")
+        assert narration_flush_count() > before
 
     def test_backend_swap_flushes_pending_rows(self):
-        set_narration_mode("batched")
         first = RecorderBackend()
         core = Core(DEFAULT_MACHINE, backend=first, flush_ops=10_000)
         core.alloc("a", 64, 8)

@@ -1,22 +1,22 @@
-"""Differential harness pinning the columnar engine to the scalar one.
+"""Differential harness pinning the columnar engine to the scalar reference.
 
-The columnar pricing engine (:mod:`repro.sim.columnar`) promises
-*bit-identical* results to the scalar replay path — not approximately
-equal, identical down to the last float bit (DESIGN.md Section 9).  This
-suite enforces that contract over the same matrix as
+Production replay prices through the columnar engine
+(:mod:`repro.sim.columnar`), which promises *bit-identical* results to
+walking ``Op.apply`` one op at a time — not approximately equal,
+identical down to the last float bit (DESIGN.md Section 9).  This suite
+enforces that contract over the same matrix as
 ``test_ops_replay_differential.py``: every kernel family and SpMV format,
 the four Fig. 9 DSE configurations, cross-machine (memory-pass) replays,
 disk round-trips, the capacity-invariant SpMA/SpMM shared-baseline path,
 and the end-to-end Fig. 9 DSE.  Each case compares three ways — direct
-execution, scalar replay, and columnar replay — all under
-``validate=True`` so the whole-array invariant checks ride along and must
-never trip or perturb a bit.
+execution, the scalar reference (``tests/scalar_reference.py``), and
+production replay — all under ``validate=True`` so the invariant checks
+ride along and must never trip or perturb a bit.  Whole-pipeline cases
+take their scalar side from per-op narration (batch-incapable backends).
 
-Also pins the engine-selection surface itself: the default engine stays
-scalar, unknown engines are rejected, fractional-latency machines fall
-back to the scalar path *loudly* (:class:`EngineFallbackWarning` plus the
-``engine_fallback`` counter), and the cross-machine memo keeps one entry
-per (engine, machine).
+Also pins what makes the integer-arithmetic contract hold: configs with
+a non-integral cache or DRAM latency are refused when they are built, and
+the cross-machine memo keeps one entry per machine.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.errors import ReplayMismatchError, SimulationError
+from repro.errors import ConfigError, ReplayMismatchError
 from repro.eval import RunnerConfig, run_units
 from repro.eval.dse import run_dse
 from repro.eval.units import record_units, replay_units, spma_units, spmm_units
@@ -42,14 +42,9 @@ from repro.kernels.spmm import spmm_via
 from repro.kernels.spmv import SPMV_VARIANTS
 from repro.kernels.stencil import stencil_via
 from repro.matrices.collection import small_collection
-from repro.sim.backends import (
-    DEFAULT_REPLAY_ENGINE,
-    REPLAY_ENGINES,
-    RecorderBackend,
-    replay_recording,
-)
-from repro.sim.columnar import machine_latencies_integral
-from repro.sim.config import DEFAULT_MACHINE
+from repro.sim.backends import RecorderBackend, replay_recording
+from repro.sim.config import DEFAULT_MACHINE, CacheConfig
+from repro.sim.core import narration_flush_count
 from repro.sim.ops import load_recordings, save_recordings
 from repro.via.config import (
     VIA_4_2P,
@@ -59,6 +54,7 @@ from repro.via.config import (
     dse_configs,
 )
 
+from tests.scalar_reference import per_op_narration, replay_scalar
 from tests.test_ops_replay_differential import _bits, assert_result_identical
 
 pytestmark = [pytest.mark.smoke, pytest.mark.columnar]
@@ -82,17 +78,14 @@ def _record(run):
 
 
 def _replay_both(recording, **kwargs):
-    """Replay with both engines under validation; assert they agree.
+    """Replay in production and by the scalar reference, both validated;
+    assert they agree.
 
-    Returns the columnar result for further comparison against direct
+    Returns the production result for further comparison against direct
     execution — one call checks both halves of the contract.
     """
-    scalar = replay_recording(
-        recording, engine="scalar", validate=True, **kwargs
-    )
-    columnar = replay_recording(
-        recording, engine="columnar", validate=True, **kwargs
-    )
+    scalar = replay_scalar(recording, validate=True, **kwargs)
+    columnar = replay_recording(recording, validate=True, **kwargs)
     assert_result_identical(columnar, scalar)
     return columnar
 
@@ -172,7 +165,7 @@ class TestKernelFamilies:
 
 
 # ----------------------------------------------------------------------
-# the four Fig. 9 configurations, and the engine-selection surface
+# the four Fig. 9 configurations, and the integral-latency contract
 # ----------------------------------------------------------------------
 class TestDseConfigsAndEngines:
     def test_every_config_replays_from_its_shape_group(self, coo, x):
@@ -200,52 +193,26 @@ class TestDseConfigsAndEngines:
         )
         for cfg in (VIA_4_2P, VIA_4_4P):
             with pytest.raises(ReplayMismatchError):
-                replay_recording(recording, via_config=cfg, engine="columnar")
+                replay_recording(recording, via_config=cfg)
+            with pytest.raises(ReplayMismatchError):
+                replay_scalar(recording, via_config=cfg)
 
-    def test_default_engine_is_scalar(self):
-        assert DEFAULT_REPLAY_ENGINE == "scalar"
-        assert REPLAY_ENGINES == ("scalar", "columnar")
-
-    def test_unknown_engine_is_rejected(self, coo, x):
-        csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
-        _, recording = _record(
-            lambda backend=None: SPMV_VARIANTS["csb"][1](
-                csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
-            )
-        )
-        with pytest.raises(SimulationError):
-            replay_recording(recording, via_config=VIA_16_4P, engine="simd")
-
-    def test_fractional_latency_falls_back_to_scalar(self, coo, x):
-        """Fractional DRAM latency voids the integer-arithmetic guarantee;
-        the engine must take the scalar path *loudly* — once-per-config
-        :class:`EngineFallbackWarning` plus the monotone
-        ``engine_fallback_count`` — and stay bit-identical, not drift."""
-        from repro.sim import columnar as columnar_mod
-        from repro.sim.columnar import (
-            EngineFallbackWarning,
-            engine_fallback_count,
-        )
-
-        frac = dataclasses.replace(DEFAULT_MACHINE, dram_latency=100.5)
-        assert not machine_latencies_integral(frac)
-        assert machine_latencies_integral(DEFAULT_MACHINE)
-        csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
-        _, recording = _record(
-            lambda backend=None: SPMV_VARIANTS["csb"][1](
-                csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
-            )
-        )
-        # re-arm the once-per-config dedupe so this test is order-independent
-        with columnar_mod._FALLBACK_LOCK:
-            columnar_mod._FALLBACK_WARNED.clear()
-        before = engine_fallback_count()
-        with pytest.warns(EngineFallbackWarning, match="narration"):
-            want = SPMV_VARIANTS["csb"][1](csb, x, frac, VIA_16_4P)
-        with pytest.warns(EngineFallbackWarning, match="replay"):
-            got = _replay_both(recording, machine=frac, via_config=VIA_16_4P)
-        assert engine_fallback_count() > before
-        assert_result_identical(got, want)
+    @pytest.mark.parametrize("level", ["l1", "l2", "l3", "dram"])
+    def test_nonintegral_latency_rejected(self, level):
+        """Columnar miss-latency sums are order-free only because every
+        latency is a whole number of cycles, so a fractional latency (or a
+        ``bool`` posing as one) must never reach pricing: the config
+        refuses it when it is built."""
+        m = DEFAULT_MACHINE
+        for bad in (100.5, 12.0, True):
+            with pytest.raises(ConfigError, match="integer"):
+                if level == "dram":
+                    dataclasses.replace(m, dram_latency=bad)
+                else:
+                    cache = getattr(m, level)
+                    CacheConfig(cache.size_kb, cache.ways, bad)
+        # integral numpy scalars are integers too
+        assert dataclasses.replace(m, dram_latency=np.int64(150)).dram_latency == 150
 
 
 # ----------------------------------------------------------------------
@@ -285,29 +252,28 @@ class TestRoundTripAndMachines:
         got = _replay_both(recording, machine=target, via_config=VIA_16_4P)
         assert_result_identical(got, want)
 
-    def test_cross_machine_memo_is_per_engine(self, coo, x):
-        """One memo entry per (engine, machine): repeated columnar replays
-        reuse theirs, and the scalar memo entry stays separate."""
+    def test_cross_machine_memo_is_per_machine(self, coo, x):
+        """One memo entry per target machine: repeated replays (any port
+        variant) reuse it, a second machine adds its own, and the
+        same-machine tier never touches the memo."""
         target = dataclasses.replace(
             DEFAULT_MACHINE,
             dram_latency=DEFAULT_MACHINE.dram_latency + 60,
         )
+        other = dataclasses.replace(target, mlp_stream=target.mlp_stream / 2)
         csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
         _, recording = _record(
             lambda backend=None: SPMV_VARIANTS["csb"][1](
                 csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
             )
         )
-        for _ in range(3):
-            replay_recording(
-                recording, machine=target, via_config=VIA_16_4P,
-                engine="columnar",
-            )
-        assert len(recording._machine_memo) == 1
-        replay_recording(
-            recording, machine=target, via_config=VIA_16_4P, engine="scalar"
-        )
-        assert len(recording._machine_memo) == 2
+        replay_recording(recording, via_config=VIA_16_4P)
+        assert len(recording._machine_memo) == 0
+        for cfg in (VIA_16_2P, VIA_16_4P, VIA_16_4P):
+            replay_recording(recording, machine=target, via_config=cfg)
+        assert list(recording._machine_memo) == [target]
+        replay_recording(recording, machine=other, via_config=VIA_16_4P)
+        assert list(recording._machine_memo) == [target, other]
 
 
 # ----------------------------------------------------------------------
@@ -319,27 +285,32 @@ class TestSharedBaseline:
         self, make_units, tmp_path
     ):
         """SpMA/SpMM baselines drop the SSPM capacity from their key: the
-        4KB group's baseline replays the 16KB group's artifact.  Routing
-        that replay through the columnar engine must reproduce the direct
-        run bit for bit."""
+        4KB group's baseline replays the 16KB group's artifact.  That
+        replay must reproduce the direct run bit for bit, batched and
+        per-op narrated alike."""
         coll = small_collection(2, seed=41, max_n=128)
         rdir = str(tmp_path / "rec")
         direct = run_units(
-            make_units(coll, via_config=VIA_4_2P), RunnerConfig()
+            make_units(coll, via_config=VIA_4_2P, validate=True),
+            RunnerConfig(),
         )
+        with per_op_narration():
+            scalar = run_units(
+                make_units(coll, via_config=VIA_4_2P, validate=True),
+                RunnerConfig(),
+            )
+        assert scalar.records == direct.records
         # warm the store with the *other* capacity group only
         warm = record_units(
             make_units(coll, via_config=VIA_16_2P), record_dir=rdir
         )
         run_units(warm, RunnerConfig())
-        for engine in REPLAY_ENGINES:
-            replays = replay_units(
-                make_units(coll, via_config=VIA_4_2P),
-                record_dir=rdir,
-                engine=engine,
-            )
-            got = run_units(replays, RunnerConfig())
-            assert got.records == direct.records, engine
+        replays = replay_units(
+            make_units(coll, via_config=VIA_4_2P, validate=True),
+            record_dir=rdir,
+        )
+        got = run_units(replays, RunnerConfig())
+        assert got.records == direct.records
 
 
 # ----------------------------------------------------------------------
@@ -347,14 +318,22 @@ class TestSharedBaseline:
 # ----------------------------------------------------------------------
 class TestDseEndToEnd:
     def test_columnar_dse_matches_direct_and_scalar(self):
+        """Direct (batched narration), direct under per-op narration, and
+        record/replay from both a batched and a per-op recorded store all
+        produce the same cycle tables."""
         coll = small_collection(3, seed=9, max_n=128)
         direct = run_dse(coll)
         with tempfile.TemporaryDirectory() as td:
-            scalar = run_dse(coll, record_dir=td, engine="scalar")
-            columnar = run_dse(
-                coll, record_dir=td, engine="columnar", validate=True
-            )
+            flushes = narration_flush_count()
+            with per_op_narration():
+                scalar = run_dse(coll, validate=True)
+                per_op_recorded = run_dse(coll, record_dir=td)
+            # no columnar flush priced anything on the scalar side
+            assert narration_flush_count() == flushes
+            replayed = run_dse(coll, record_dir=td, validate=True)
+        with tempfile.TemporaryDirectory() as td:
+            columnar = run_dse(coll, record_dir=td, validate=True)
         for kernel, per_config in direct.cycles.items():
             for cfg_name, want in per_config.items():
-                assert _bits(scalar.cycles[kernel][cfg_name]) == _bits(want)
-                assert _bits(columnar.cycles[kernel][cfg_name]) == _bits(want)
+                for got in (scalar, per_op_recorded, replayed, columnar):
+                    assert _bits(got.cycles[kernel][cfg_name]) == _bits(want)

@@ -12,9 +12,10 @@ table (L1-resident through DRAM-spilling).
 
 Three properties, each fuzzed independently:
 
-* replaying a synthetic recording (no stored ``PricedState``, so both
-  engines take the full memory pass) is bit-identical between the scalar
-  and columnar engines, with validation riding both;
+* replaying a synthetic recording (no stored ``PricedState``, so replay
+  takes the full memory pass) in production is bit-identical to the
+  scalar reference (``tests/scalar_reference.py``) and to executing the
+  same stream directly on a live core, with validation riding all three;
 * ``ColumnarOps.from_ops`` → ``to_ops`` is a lossless round trip,
   compared field by field (``np.array_equal`` for index arrays);
 * :func:`check_columnar_invariants` agrees with the scalar
@@ -57,10 +58,10 @@ from repro.sim.ops import (
     StoreStreamOp,
     VectorOpOp,
     ViaOpRecord,
-    via_totals,
 )
 from repro.via.config import VIA_16_2P
 
+from tests.scalar_reference import execute_ops, replay_scalar, via_totals
 from tests.test_ops_replay_differential import assert_result_identical
 
 pytestmark = [pytest.mark.smoke, pytest.mark.columnar]
@@ -217,13 +218,30 @@ def op_streams(draw):
 
 def _recording(ops):
     """A synthetic recording with no stored PricedState, so replay takes
-    the full memory pass under both engines."""
+    the full memory pass."""
     return Recording(
         name=f"prop_{_CFG.name}",
         machine=DEFAULT_MACHINE,
         via_config=_CFG,
-        ops=list(ops),
+        columnar=ColumnarOps.from_ops(list(ops)),
     )
+
+
+def _direct(ops, name):
+    return execute_ops(
+        list(ops), name, machine=DEFAULT_MACHINE, via_config=_CFG,
+        validate=True,
+    )
+
+
+def _check_replay(ops):
+    """Production replay vs the scalar reference vs direct execution, all
+    validated; returns the production result."""
+    rec = _recording(ops)
+    columnar = replay_recording(rec, validate=True)
+    assert_result_identical(columnar, replay_scalar(rec, validate=True))
+    assert_result_identical(columnar, _direct(ops, rec.name))
+    return columnar
 
 
 def _ops_equal(a, b):
@@ -245,10 +263,7 @@ def _ops_equal(a, b):
 @given(op_streams())
 @settings(max_examples=50, deadline=None)
 def test_replay_engines_are_bit_identical(ops):
-    rec = _recording(ops)
-    scalar = replay_recording(rec, engine="scalar", validate=True)
-    columnar = replay_recording(rec, engine="columnar", validate=True)
-    assert_result_identical(columnar, scalar)
+    _check_replay(ops)
 
 
 @given(op_streams())
@@ -285,8 +300,8 @@ def test_via_totals_match_bitwise(ops):
 @given(op_streams())
 @settings(max_examples=50, deadline=None)
 def test_invariants_accept_every_well_formed_stream(ops):
-    """Agreement, accepting half: the scalar InvariantBackend rides the
-    validated scalar replay above; here the columnar checker must also
+    """Agreement, accepting half: the per-op InvariantBackend rides the
+    validated scalar reference above; here the columnar checker must also
     pass every law — structure, occupancy at capacity, and final-counter
     conservation — on the same streams."""
     cols = ColumnarOps.from_ops(ops)
@@ -301,10 +316,7 @@ def test_invariants_accept_every_well_formed_stream(ops):
 # ----------------------------------------------------------------------
 class TestBoundaries:
     def test_zero_length_stream(self):
-        rec = _recording([])
-        scalar = replay_recording(rec, engine="scalar", validate=True)
-        columnar = replay_recording(rec, engine="columnar", validate=True)
-        assert_result_identical(columnar, scalar)
+        _check_replay([])
         assert len(ColumnarOps.from_ops([])) == 0
 
     @pytest.mark.parametrize(
@@ -323,10 +335,7 @@ class TestBoundaries:
     )
     def test_single_op_stream(self, op):
         ops = [op] if isinstance(op, AllocOp) else [AllocOp("a", 16, 8), op]
-        rec = _recording(ops)
-        scalar = replay_recording(rec, engine="scalar", validate=True)
-        columnar = replay_recording(rec, engine="columnar", validate=True)
-        assert_result_identical(columnar, scalar)
+        _check_replay(ops)
 
     def test_occupancy_exactly_at_capacity_passes(self):
         cols = ColumnarOps.from_ops(
@@ -346,16 +355,12 @@ class TestBoundaries:
     @pytest.mark.parametrize("elems", _LEVEL_EDGE_ELEMS)
     def test_latency_table_edges(self, elems):
         """Streams sized at each cache-level boundary walk a different row
-        of the latency table; both engines must agree at every edge."""
-        ops = [
+        of the latency table; all three must agree at every edge."""
+        _check_replay([
             AllocOp("a", elems, 8),
             LoadStreamOp("a", 0, elems),
             LoadStreamOp("a", 0, elems),  # second pass: warm-cache row
-        ]
-        rec = _recording(ops)
-        scalar = replay_recording(rec, engine="scalar", validate=True)
-        columnar = replay_recording(rec, engine="columnar", validate=True)
-        assert_result_identical(columnar, scalar)
+        ])
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +392,11 @@ class TestInvariantAgreement:
     def test_both_engines_reject(self, make_bad, match):
         rec = _recording([make_bad()])
         with pytest.raises(InvariantError, match=match):
-            replay_recording(rec, engine="scalar", validate=True)
-        rec = _recording([make_bad()])
+            replay_scalar(rec, validate=True, ops=[make_bad()])
         with pytest.raises(InvariantError, match=match):
-            replay_recording(rec, engine="columnar", validate=True)
+            replay_recording(rec, validate=True)
+        with pytest.raises(InvariantError, match=match):
+            _direct([make_bad()], "bad")
 
     def test_via_op_without_timing_rejected(self):
         bad = _corrupt(

@@ -314,6 +314,54 @@ class TestGracefulDrain:
             client.close()
             _stop(proc)
 
+    def test_idle_connection_does_not_hold_up_drain(self, tmp_path):
+        """A connected client with nothing in flight is closed at once:
+        the whole drain, pool shutdown included, takes well under a
+        second."""
+        proc, addr = _spawn_server(tmp_path, "--workers", "1", name="idle")
+        client = ServeClient(**addr, timeout_s=30)
+        try:
+            client.ping()  # the connection stays open, idle
+            time.sleep(0.3)
+            started = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            elapsed = time.monotonic() - started
+            assert proc.returncode == 0
+            assert elapsed < 1.0, f"drain took {elapsed:.2f}s"
+        finally:
+            client.close()
+            _stop(proc)
+
+    def test_inflight_wait_request_still_gets_its_reply(self, tmp_path):
+        """A ``wait: true`` submit whose job is running when SIGTERM lands
+        keeps its connection open until the reply is written."""
+        proc, addr = _spawn_server(
+            tmp_path, "--workers", "1", "--max-batch", "1", name="waiter",
+        )
+        client = ServeClient(**addr, timeout_s=60)
+        probe = ServeClient(**addr, timeout_s=30)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                reply = pool.submit(
+                    client.submit, {"kind": "sleep", "duration_s": 1.0},
+                    wait=True, wait_timeout_s=30,
+                )
+                deadline = time.monotonic() + 10
+                while probe.stats()["inflight"] < 1:
+                    assert time.monotonic() < deadline, "job never dispatched"
+                    time.sleep(0.02)
+                probe.close()
+                proc.send_signal(signal.SIGTERM)
+                job = reply.result(timeout=30)
+            assert job["state"] == "done"
+            proc.wait(timeout=30)
+            assert proc.returncode == 0
+        finally:
+            client.close()
+            probe.close()
+            _stop(proc)
+
     def test_submit_during_drain_is_refused(self, tmp_path):
         proc, addr = _spawn_server(
             tmp_path, "--workers", "1", "--max-batch", "1", name="drain2",

@@ -47,7 +47,7 @@ class TestEstimateJobs:
         # workload validation applies: bad kernel still rejected
         with pytest.raises(ServeError):
             estimate_spec(kernel="gemm")
-        # replay-only knobs stay rejected
+        # unknown fields (the retired replay engine knob too) stay rejected
         with pytest.raises(ServeError):
             estimate_spec(engine="columnar")
 

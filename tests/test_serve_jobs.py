@@ -64,6 +64,8 @@ class TestJobSpecValidation:
             ({"kind": "simulate", "prioritty": 3}, "unknown job spec field"),
             ({}, "kind"),
             ("not-a-dict", "must be an object"),
+            # the retired replay-engine knob is just another unknown field
+            ({"kind": "replay", "engine": "columnar"}, "unknown job spec field"),
         ],
     )
     def test_bad_specs_raise_bad_request(self, payload, fragment):
