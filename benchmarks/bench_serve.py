@@ -50,7 +50,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.serve.client import ServeClient, read_ready_file  # noqa: E402
-from repro.serve.metrics import percentile  # noqa: E402
+from repro.metrics import percentile  # noqa: E402
 
 PORT_SWEEP = (1, 2, 3, 4, 5, 6, 7, 8)  # the 8-config workload
 

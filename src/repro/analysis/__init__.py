@@ -18,7 +18,7 @@ that no general-purpose linter checks:
   columnar builder; per-op ``Op(...)`` construction in ``Core``/kernel
   loops would silently restore the per-object cost
   (:mod:`repro.analysis.hotpath`);
-* **resource lifecycle** — the serve pool and eval supervisor must
+* **resource lifecycle** — the supervised worker pool and the serve layer must
   close/join/terminate every pipe, process, socket, and temp file on
   every CFG path out of a function, exception edges included
   (:mod:`repro.analysis.lifecycle`);

@@ -1,6 +1,6 @@
 """Resource-lifecycle rules (family ``lifecycle``).
 
-The serve worker pool and the eval supervisor juggle OS resources with
+The supervised worker pool and the serve layer juggle OS resources with
 process-wide consequences: pipe ends that keep a dead worker's file
 descriptors alive, subprocesses that outlive their owner, temp files and
 sockets that accumulate across respawns.  PR 8's drain test proves the
@@ -100,7 +100,7 @@ VIA504 = rule(
 #: plus the entry scripts, which open files and spawn servers directly
 LIFECYCLE_PREFIXES: Tuple[str, ...] = (
     "repro/serve/",
-    "repro/eval/supervisor",
+    "repro/pool.py",
     "benchmarks/",
     "examples/",
 )

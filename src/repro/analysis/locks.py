@@ -29,7 +29,7 @@ touches it — in either direction.  For shared attributes:
   loop-written shared state without holding the lock;
 * ``VIA303`` (error) — the mirror image: a loop-side method touches
   executor-written shared state without holding the lock.  The serve
-  worker-pool supervisor (:mod:`repro.serve.pool`) is the motivating
+  worker-pool supervisor (:mod:`repro.pool`) is the motivating
   case: its supervisor thread mutates the worker table and crash
   counters, and every loop-side reader (``submit``/``cancel``/
   ``health``) must hold the supervisor lock to see a consistent view.
@@ -71,8 +71,10 @@ VIA303 = rule(
     "loop-side code touches executor-written shared state without the lock",
 )
 
-#: path fragments selecting the threaded-serving scope
-LOCK_PREFIXES: Tuple[str, ...] = ("repro/serve/",)
+#: path fragments selecting the threaded scope: the serve layer, the
+#: supervised worker pool with its supervisor thread, and the metrics
+#: instruments both of them update from several threads
+LOCK_PREFIXES: Tuple[str, ...] = ("repro/serve/", "repro/pool.py", "repro/metrics.py")
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 

@@ -1,12 +1,13 @@
-"""Deterministic fault injection for the serve worker pool.
+"""Deterministic fault injection for the supervised worker pool.
 
 Production claims about crash isolation are worthless without a way to
-*cause* the crashes on demand.  This module is the serve-side analogue of
-the sweep chaos suite: a small, declarative fault plan that the worker
-processes of :mod:`repro.serve.pool` consult at well-defined points —
-worker startup and the moment a job is about to execute — so tests and
-``bench_serve`` can murder, wedge, stall, and garble workers on a
-schedule and then assert that not a single response was lost.
+*cause* the crashes on demand.  This module is a small, declarative
+fault plan that the worker processes of :mod:`repro.pool` consult at
+well-defined points — worker startup and the moment a job is about to
+execute — so tests and ``bench_serve`` can murder, wedge, stall, and
+garble workers on a schedule and then assert that not a single response
+was lost.  The serve adapter (:mod:`repro.serve.pool`) is the one that
+arms it.
 
 Four fault kinds:
 
@@ -20,7 +21,7 @@ hang       sleep ``delay_s`` before executing — drives the per-job
            exceeds the job timeout, or models a stall when it doesn't
 slow_start sleep ``delay_s`` during worker bootstrap, before the
            ready handshake — visible in the respawn-latency histogram
-           and, past ``spawn_timeout_s``, in the spawn watchdog
+           and, past the 60 s spawn budget, in the spawn watchdog
 corrupt    reply with a malformed message instead of the result —
            exercises the supervisor's protocol-violation path
 ========== ==========================================================
@@ -98,7 +99,7 @@ class ChaosConfig:
 
     ``state_dir`` holds the claim tokens that bound each rule to its
     ``times`` budget across every worker process.  It must be shared by
-    the whole pool; :class:`~repro.serve.pool.WorkerPool` creates a
+    the whole pool; :class:`~repro.pool.SupervisedPool` creates a
     per-pool temp directory when the plan does not name one.
     """
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import signal as signal_mod
 import threading
@@ -100,13 +99,9 @@ class RunnerConfig:
     routes execution through :mod:`repro.eval.supervisor`.  ``resume``
     names a prior run's journal: units whose completed records it holds
     are served from it bit-identically instead of recomputed.
-    ``chunksize`` is retained for backward compatibility but ignored —
-    supervised dispatch hands out one unit at a time so every timeout or
-    worker death is attributable to a single unit.
     """
 
     workers: int = 1
-    chunksize: Optional[int] = None
     cache_dir: Optional[str] = None
     use_cache: bool = True
     journal_path: Optional[str] = None
@@ -119,8 +114,6 @@ class RunnerConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise SweepError(f"workers must be >= 1, got {self.workers}")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise SweepError(f"chunksize must be >= 1, got {self.chunksize}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise SweepError(f"timeout_s must be > 0, got {self.timeout_s}")
         if self.retries < 0:
@@ -272,15 +265,6 @@ class ResultCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.rglob("*.json")) if self.root.exists() else 0
-
-
-def _pool_context():
-    """Fork keeps registered UNIT_KINDS visible to workers; fall back
-    to the platform default elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
 
 
 class _Journal:
@@ -647,7 +631,6 @@ def run_units(
                 # return value (stopped-early?) is implied by flag.set below
                 run_supervised(
                     pending,
-                    _pool_context(),
                     workers=config.workers,
                     timeout_s=config.timeout_s,
                     retries=config.retries,
@@ -660,16 +643,7 @@ def run_units(
                 for index, unit in pending:
                     if flag.set:
                         break
-                    outcome = execute_unit((index, unit))
-                    state.finish(
-                        UnitOutcome(
-                            index=outcome[0],
-                            status=outcome[1],
-                            payload=outcome[2],
-                            wall_s=outcome[3],
-                            worker=outcome[4],
-                        )
-                    )
+                    state.finish(UnitOutcome(*execute_unit((index, unit))))
 
             if flag.set:
                 counters.wall_seconds = time.perf_counter() - run_start
@@ -724,8 +698,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-n", type=int, default=512,
                         help="largest matrix dimension")
     parser.add_argument("--workers", type=positive_int, default=1)
-    parser.add_argument("--chunksize", type=positive_int, default=None,
-                        help="(legacy, ignored by supervised dispatch)")
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true",
                         help="escape hatch: ignore --cache-dir")
@@ -753,7 +725,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         journal = args.resume  # keep extending the journal we resume from
     config = RunnerConfig(
         workers=args.workers,
-        chunksize=args.chunksize,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         journal_path=journal,

@@ -1,53 +1,37 @@
-"""Watchdog-supervised work-unit execution for the sweep runner.
+"""Sweep adapter over the supervised worker pool (:mod:`repro.pool`).
 
-The bare ``multiprocessing.Pool`` map the runner used through PR 1 had no
-defenses: a hung kernel stalled the sweep forever, an OOM-killed worker
-poisoned the pool, and there was no way to retry a unit that died for
-transient reasons.  This module replaces it with a supervised dispatch
-loop sized for the paper's 1,024-matrix campaigns:
+:func:`run_supervised` submits every pending unit to a
+:class:`~repro.pool.SupervisedPool` with the sweep policy hard-coded:
+one unit in flight per worker, so every timeout, crash or OOM kill is
+attributable to its unit; a unit past ``timeout_s`` has its worker
+SIGKILLed and is retried like a worker death, because a hang may be
+transient; transient failures retry with exponential backoff up to
+``retries`` extra attempts; a unit that raises is deterministic —
+:func:`execute_unit` captures the error and it is not retried.  No
+poison keys and no chaos plan: those are serve policy.
 
-* **one unit in flight per worker** — each worker process owns a private
-  duplex pipe and receives exactly one unit at a time, so every failure
-  (timeout, crash, OOM kill) is attributable to the unit that caused it;
-* **wall-clock watchdog** — a unit that runs past ``timeout_s`` gets its
-  worker SIGKILLed and is scored a timeout;
-* **death detection + replenishment** — a worker that exits or is killed
-  mid-unit is detected through pipe EOF (no polling races), its unit is
-  rescored, and a fresh worker takes its slot;
-* **bounded retries** — transient failures (worker death, timeout) are
-  re-queued with exponential backoff up to ``retries`` extra attempts;
-  a unit that raises a Python exception is deterministic and is *not*
-  retried;
-* **cooperative cancellation** — ``should_stop`` is polled every tick, so
-  the caller's SIGINT/SIGTERM handler can stop dispatch and still flush
-  everything already completed.
-
-Outcomes are delivered to ``on_outcome`` in completion order (the caller
-reorders; the runner keeps records deterministic by unit index).  The
-supervisor itself never raises for unit-level problems — only for
-programming errors or if the caller's callback raises (in which case all
-workers are torn down before the exception propagates).
+Outcomes reach ``on_outcome`` on the caller's thread in completion order
+(the runner reorders by unit index), and ``should_stop`` is polled while
+waiting, so a SIGINT/SIGTERM handler can stop dispatch and still flush
+everything already completed.  Nothing raises for unit-level problems;
+if ``on_outcome`` raises, every worker is torn down first.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.eval.units import WorkUnit, compute_unit
+from repro.pool import PoolTask, SupervisedPool
 from repro.sim.stats import SweepCounters
 
-#: supervisor scheduling quantum (seconds): the longest the loop will wait
-#: before re-checking deadlines, retries, and the stop flag
-_TICK = 0.05
-
-#: exponential backoff is capped so a long retry chain cannot stall a sweep
-_BACKOFF_CAP = 30.0
+#: how often (seconds) ``should_stop`` is polled while no outcome arrives
+_STOP_POLL_S = 0.05
 
 
 def execute_unit(task: Tuple[int, "WorkUnit"]):
@@ -83,334 +67,38 @@ class UnitOutcome:
     timed_out: bool = False
 
 
-@dataclass
-class _Task:
-    """One unit's dispatch state, carried across retries."""
-
-    index: int
-    unit: "WorkUnit"
-    attempt: int = 1
-    history: List[str] = field(default_factory=list)
-    ready_at: float = 0.0
-    started_at: float = 0.0
+def _run_unit(task: Tuple[int, "WorkUnit"]) -> Tuple[str, Any]:
+    """Worker-side handler (:func:`execute_unit` captures unit errors)."""
+    return "ok", execute_unit(task)
 
 
-def _worker_main(conn) -> None:
-    """Worker process: serve one unit per message until told to stop.
-
-    SIGINT is ignored so a terminal Ctrl-C (delivered to the whole process
-    group) cannot kill workers behind the supervisor's back — shutdown is
-    always the supervisor's decision (sentinel, EOF, or SIGKILL).
-    """
-    try:
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ImportError, ValueError, OSError):  # pragma: no cover
-        pass
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            conn.close()
-            return
-        try:
-            conn.send(execute_unit(task))
-        except (BrokenPipeError, OSError):  # supervisor went away
-            return
-
-
-class _WorkerHandle:
-    """Supervisor-side view of one worker process."""
-
-    __slots__ = ("proc", "conn", "task", "deadline")
-
-    def __init__(self, ctx):
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        try:
-            self.proc = ctx.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
-            )
-            self.proc.start()
-        except BaseException:
-            # a failed spawn must not strand the pipe fds — under fd
-            # exhaustion the leak would make every later spawn fail too
-            parent_conn.close()
-            child_conn.close()
-            raise
-        # close our copy of the child end or EOF detection never fires
-        child_conn.close()
-        self.conn = parent_conn
-        self.task: Optional[_Task] = None
-        self.deadline: Optional[float] = None
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except (OSError, ValueError):  # pragma: no cover - already gone
-            pass
-        self.proc.join(timeout=2.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def stop_gently(self) -> None:
-        """Ask an idle worker to exit; escalate if it lingers."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():  # pragma: no cover - stuck worker
-            self.kill()
-            return
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class Supervisor:
-    """Watchdog-supervised dispatch of work units over a worker pool.
-
-    See the module docstring for the policy.  Drive with :meth:`run`.
-    """
-
-    def __init__(
-        self,
-        ctx,
-        *,
-        workers: int,
-        timeout_s: Optional[float],
-        retries: int,
-        backoff_s: float,
-        on_outcome: Callable[[UnitOutcome], None],
-        should_stop: Optional[Callable[[], bool]] = None,
-        counters: Optional[SweepCounters] = None,
-    ):
-        self.ctx = ctx
-        self.workers = workers
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.on_outcome = on_outcome
-        self.should_stop = should_stop or (lambda: False)
-        self.counters = counters if counters is not None else SweepCounters()
-        self.queue: Deque[_Task] = deque()
-        self.waiting: List[_Task] = []
-        self.handles: List[_WorkerHandle] = []
-        self.done = 0
-        self.total = 0
-
-    # ------------------------------------------------------------------
-    def run(self, pending: Sequence[Tuple[int, "WorkUnit"]]) -> bool:
-        """Execute every pending unit; ``False`` if stopped early."""
-        self.total = len(pending)
-        if self.total == 0:
-            return True
-        self.queue.extend(_Task(index, unit) for index, unit in pending)
-        pool_size = min(self.workers, self.total)
-        try:
-            # build incrementally: if the Nth spawn raises, the N-1 live
-            # workers are already in self.handles for _shutdown() to reap
-            self.handles = []
-            for _ in range(pool_size):
-                self.handles.append(_WorkerHandle(self.ctx))
-            while self.done < self.total:
-                if self.should_stop():
-                    return False
-                now = time.monotonic()
-                self._promote_retries(now)
-                self._assign(now)
-                self._collect(now)
-                self._enforce_deadlines(time.monotonic())
-            return True
-        finally:
-            self._shutdown()
-
-    # ------------------------------------------------------------------
-    def _promote_retries(self, now: float) -> None:
-        ready = [t for t in self.waiting if t.ready_at <= now]
-        if ready:
-            self.waiting = [t for t in self.waiting if t.ready_at > now]
-            self.queue.extend(ready)
-
-    def _assign(self, now: float) -> None:
-        for handle in self.handles:
-            if handle.task is not None or not self.queue:
-                continue
-            task = self.queue.popleft()
-            task.started_at = now
-            try:
-                handle.conn.send((task.index, task.unit))
-            except (BrokenPipeError, OSError):
-                # the idle worker died between units; replace it and requeue
-                self.queue.appendleft(task)
-                self._replace(handle, record_death=True)
-                continue
-            handle.task = task
-            handle.deadline = (
-                now + self.timeout_s if self.timeout_s is not None else None
-            )
-
-    def _collect(self, now: float) -> None:
-        busy: Dict[object, _WorkerHandle] = {
-            h.conn: h for h in self.handles if h.task is not None
-        }
-        if not busy:
-            # nothing in flight: wait for the nearest retry to become ready
-            if self.waiting:
-                wake = min(t.ready_at for t in self.waiting)
-                time.sleep(min(max(wake - now, 0.0), _TICK))
-            return
-        timeout = _TICK
-        deadlines = [h.deadline for h in busy.values() if h.deadline is not None]
-        if deadlines:
-            timeout = min(timeout, max(min(deadlines) - now, 0.0))
-        for conn in mp_connection.wait(list(busy), timeout=timeout):
-            handle = busy[conn]
-            try:
-                result = conn.recv()
-            except (EOFError, OSError):
-                self._on_death(handle)
-                continue
-            self._on_result(handle, result)
-
-    def _enforce_deadlines(self, now: float) -> None:
-        for handle in self.handles:
-            if (
-                handle.task is None
-                or handle.deadline is None
-                or now < handle.deadline
-            ):
-                continue
-            if handle.conn.poll():  # result raced the deadline: accept it
-                continue
-            task = handle.task
-            pid = handle.proc.pid
-            self.counters.worker_deaths += 1
-            handle.kill()
-            self._replace(handle, record_death=False)
-            self._score_transient(
-                task,
-                reason=(
-                    f"attempt {task.attempt}: timed out after "
-                    f"{self.timeout_s:.4g}s wall-clock (worker {pid} killed)"
-                ),
-                timed_out=True,
-                worker=pid or 0,
-                wall_s=now - task.started_at,
-            )
-
-    # ------------------------------------------------------------------
-    def _on_result(self, handle: _WorkerHandle, result) -> None:
-        index, status, payload, wall_s, pid = result
-        task = handle.task
-        handle.task = None
-        handle.deadline = None
-        if task is None or index != task.index:  # pragma: no cover
-            raise RuntimeError(
-                f"supervisor bookkeeping error: worker {pid} returned unit "
-                f"{index} but was assigned {task.index if task else None}"
-            )
-        self.done += 1
-        self.on_outcome(
-            UnitOutcome(
-                index=index,
-                status=status,
-                payload=payload,
-                wall_s=wall_s,
-                worker=pid,
-                attempts=task.attempt,
-                history=list(task.history),
-                transient=False,
-                timed_out=False,
-            )
+def _outcome(task: PoolTask) -> UnitOutcome:
+    """Turn one resolved pool task into the unit's final outcome."""
+    failure = task.future.exception()
+    if failure is None:
+        # (index, status, payload, wall_s, worker) from execute_unit
+        return UnitOutcome(
+            *task.future.result(), attempts=task.attempt, history=list(task.history)
         )
-
-    def _on_death(self, handle: _WorkerHandle) -> None:
-        """A worker's pipe hit EOF while a unit was in flight."""
-        task = handle.task
-        pid = handle.proc.pid
-        self.counters.worker_deaths += 1
-        handle.kill()  # reap + close; already dead, kill is a no-op
-        exitcode = handle.proc.exitcode  # read after the reaping join
-        self._replace(handle, record_death=False)
-        if task is None:  # pragma: no cover - EOF from an idle worker
-            return
-        self._score_transient(
-            task,
-            reason=(
-                f"attempt {task.attempt}: worker {pid} died mid-unit "
-                f"(exitcode {exitcode})"
-            ),
-            timed_out=False,
-            worker=pid or 0,
-            wall_s=time.monotonic() - task.started_at,
-        )
-
-    def _score_transient(
-        self,
-        task: _Task,
-        *,
-        reason: str,
-        timed_out: bool,
-        worker: int,
-        wall_s: float,
-    ) -> None:
-        """Retry a transiently-failed unit, or score its final failure."""
-        task.history.append(reason)
-        if task.attempt <= self.retries:
-            backoff = min(
-                self.backoff_s * (2 ** (task.attempt - 1)), _BACKOFF_CAP
-            )
-            task.attempt += 1
-            task.ready_at = time.monotonic() + backoff
-            self.waiting.append(task)
-            return
-        self.done += 1
-        kind = "timed out" if timed_out else "lost its worker"
-        error = (
-            f"SweepError('unit {task.index} {kind} on all "
-            f"{task.attempt} attempt(s)')"
-        )
-        self.on_outcome(
-            UnitOutcome(
-                index=task.index,
-                status="failed",
-                payload=(error, ""),
-                wall_s=wall_s,
-                worker=worker,
-                attempts=task.attempt,
-                history=list(task.history),
-                transient=True,
-                timed_out=timed_out,
-            )
-        )
-
-    def _replace(self, handle: _WorkerHandle, *, record_death: bool) -> None:
-        if record_death:
-            self.counters.worker_deaths += 1
-        handle.task = None
-        handle.deadline = None
-        index = self.handles.index(handle)
-        self.handles[index] = _WorkerHandle(self.ctx)
-
-    def _shutdown(self) -> None:
-        for handle in self.handles:
-            if handle.task is not None or handle.proc.is_alive() is False:
-                handle.kill()
-            else:
-                handle.stop_gently()
-        self.handles = []
+    index = task.request[0]
+    timed_out = getattr(failure, "code", None) == "timeout"
+    what = "timed out" if timed_out else "lost its worker"
+    error = f"SweepError('unit {index} {what} on all {task.attempt} attempt(s)')"
+    return UnitOutcome(
+        index=index,
+        status="failed",
+        payload=(error, ""),
+        wall_s=time.monotonic() - task.started_at,
+        worker=task.worker,
+        attempts=task.attempt,
+        history=list(task.history),
+        transient=True,
+        timed_out=timed_out,
+    )
 
 
 def run_supervised(
     pending: Sequence[Tuple[int, "WorkUnit"]],
-    ctx,
     *,
     workers: int,
     timeout_s: Optional[float],
@@ -420,20 +108,41 @@ def run_supervised(
     should_stop: Optional[Callable[[], bool]] = None,
     counters: Optional[SweepCounters] = None,
 ) -> bool:
-    """Run ``pending`` under a :class:`Supervisor`; see the module docs.
+    """Run ``pending`` on a supervised pool; see the module docs.
 
     Returns ``True`` when every unit reached a final outcome, ``False``
     when ``should_stop`` ended dispatch early (outcomes already delivered
-    stay delivered — the caller flushes them).
+    stay delivered — the caller flushes them).  Every worker death or
+    kill is added to ``counters.worker_deaths``.
     """
-    supervisor = Supervisor(
-        ctx,
-        workers=workers,
-        timeout_s=timeout_s,
+    if not pending:
+        return True
+    pool = SupervisedPool(
+        _run_unit,
+        workers=min(workers, len(pending)),
         retries=retries,
         backoff_s=backoff_s,
-        on_outcome=on_outcome,
-        should_stop=should_stop,
-        counters=counters,
+        retry_timeouts=True,
+        thread_name="repro-sweep-pool",
     )
-    return supervisor.run(pending)
+    resolved: "queue.Queue[PoolTask]" = queue.Queue()
+    try:
+        pool.start()
+        for item in pending:
+            task = pool.submit(item, timeout_s=timeout_s)
+            task.future.add_done_callback(lambda _, task=task: resolved.put(task))
+        remaining = len(pending)
+        while remaining:
+            if should_stop is not None and should_stop():
+                return False
+            try:
+                task = resolved.get(timeout=_STOP_POLL_S)
+            except queue.Empty:
+                continue
+            remaining -= 1
+            on_outcome(_outcome(task))
+        return True
+    finally:
+        pool.stop()
+        if counters is not None:
+            counters.worker_deaths += pool.health()["restarts"]

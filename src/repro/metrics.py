@@ -1,7 +1,8 @@
-"""Live service metrics: counters, gauges, and latency histograms.
+"""Live metrics: counters, gauges, and latency histograms.
 
-A deliberately small, stdlib-only observability layer for
-:mod:`repro.serve` — the serving analogue of the sweep runner's
+A deliberately small, stdlib-only observability layer for the supervised
+worker pool (:mod:`repro.pool`) and the service (:mod:`repro.serve`) —
+the live analogue of the sweep runner's
 :class:`~repro.sim.stats.SweepCounters`.  Three instrument kinds:
 
 * :class:`Counter` — monotone event totals (jobs submitted, shed, batches
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 #: histograms keep the most recent N observations for percentile math;
 #: count/sum/min/max remain exact over the full lifetime
@@ -45,7 +46,6 @@ class Counter:
         if amount < 0:
             # a negative inc() is a server-side bug; the catch-all
             # 'internal' wire code is exactly what it should surface as
-            # via: ignore[VIA601] -- API-misuse guard, not a wire error
             raise ValueError(f"counter {self.name} cannot decrease")
         with self._lock:
             self._value += amount
@@ -105,7 +105,6 @@ class Histogram:
         self, name: str, help: str = "", max_samples: int = DEFAULT_RESERVOIR
     ):
         if max_samples < 1:
-            # via: ignore[VIA601] -- constructor guard, unreachable from a request
             raise ValueError("max_samples must be >= 1")
         self.name = name
         self.help = help
@@ -178,7 +177,6 @@ class MetricsRegistry:
                 if not isinstance(existing, kind):
                     # two call sites disagreeing on a metric's kind is a
                     # server bug, so the 'internal' code is the honest one
-                    # via: ignore[VIA601] -- registry-misuse guard
                     raise ValueError(
                         f"metric {name!r} already registered as "
                         f"{type(existing).__name__}, not {kind.__name__}"

@@ -19,7 +19,7 @@ service:
   cancelled, waiters get their responses before sockets close);
 * :mod:`repro.serve.client` — a blocking client library and the CLI behind
   ``python -m repro.serve``;
-* :mod:`repro.serve.metrics` — counters, gauges, and latency histograms
+* :mod:`repro.metrics` — counters, gauges, and latency histograms
   (p50/p95/p99) exposed via the ``metrics`` request as JSON or a text dump.
 
 Quickstart::
@@ -29,9 +29,9 @@ Quickstart::
     python -m repro.serve metrics --port 7341 --text
 """
 
+from repro.metrics import MetricsRegistry
 from repro.serve.client import ServeClient, ServeRequestError
 from repro.serve.jobs import Job, JobSpec, error_payload
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.scheduler import Scheduler, ServiceConfig
 from repro.serve.server import ViaServer
 

@@ -25,8 +25,8 @@ import sys
 from typing import List, Optional
 
 import repro
+from repro.chaos import ChaosConfig
 from repro.errors import ServeError
-from repro.serve.chaos import ChaosConfig
 from repro.serve.client import ServeClient, ServeRequestError
 from repro.serve.scheduler import Scheduler, ServiceConfig
 from repro.serve.server import ViaServer
@@ -75,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--poison-threshold", type=int, default=3,
                        help="worker crashes per job key before the "
                        "poison circuit breaker opens")
-    serve.add_argument("--spawn-timeout", type=float, default=60.0,
-                       help="worker bootstrap (spawn-to-ready) budget "
-                       "(seconds)")
-    serve.add_argument("--mp-context", default=None,
-                       choices=("fork", "spawn", "forkserver"),
-                       help="worker start method (default: fork where "
-                       "available; env REPRO_SERVE_MP_CONTEXT)")
     serve.add_argument("--chaos", default=None,
                        help="fault-injection plan for the worker pool, "
                        "e.g. 'crash:kind=replay:times=2;hang:delay=60' "
@@ -176,8 +169,6 @@ def _cmd_serve(args) -> int:
         pool_retries=args.pool_retries,
         pool_backoff_s=args.pool_backoff,
         poison_threshold=args.poison_threshold,
-        spawn_timeout_s=args.spawn_timeout,
-        mp_context=args.mp_context,
         chaos=chaos,
         cache_dir=args.cache_dir,
         record_dir=args.record_dir,

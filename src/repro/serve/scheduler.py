@@ -14,15 +14,10 @@ The scheduler is the service's brain.  Requests flow through four stages:
    units self-heal on a store miss), every later job re-prices the stored
    streams.
 3. **execution** — each batch is dispatched job-by-job to the supervised
-   subprocess :class:`~repro.serve.pool.WorkerPool`: long-lived workers
-   with warm imports, futures-over-pipes, crash isolation.  A worker that
-   segfaults or is OOM-killed loses only its own job (retried with
-   backoff, then failed ``worker_crash``); a job past its ``timeout_s``
-   gets its worker SIGKILLed and the slot respawned — the structured
-   ``timeout`` error marks the job ``abandoned``; a job that keeps
-   killing workers trips the per-key poison circuit breaker
-   (``poison_job``).  Cancelling a *running* job kills its worker and
-   reclaims the slot.  Results inherit the PR-1 result cache, the PR-2
+   subprocess :class:`~repro.serve.pool.WorkerPool` (crash isolation,
+   retries, per-job timeouts, the poison breaker; see that module).  A
+   ``timeout`` marks the job ``abandoned``; cancelling a *running* job
+   kills its worker.  Results inherit the result cache, the
    :class:`~repro.eval.recordings.RecordingStore`, per-unit fault capture,
    and invariant checking via :mod:`repro.serve.execution`.
 4. **completion** — deadlines are re-checked at dispatch
@@ -44,16 +39,17 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.chaos import ChaosConfig
 from repro.errors import AdmissionError, JobCancelled, ServeError
-from repro.serve.chaos import ChaosConfig
+from repro.metrics import MetricsRegistry
+from repro.pool import PoolTask
 from repro.serve.jobs import (
     Job,
     JobSpec,
     JobState,
     error_payload,
 )
-from repro.serve.metrics import MetricsRegistry
-from repro.serve.pool import PoolConfig, PoolTask, WorkerPool
+from repro.serve.pool import PoolConfig, WorkerPool
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,6 @@ class ServiceConfig:
     pool_retries: int = 2
     pool_backoff_s: float = 0.05
     poison_threshold: int = 3
-    spawn_timeout_s: float = 60.0
-    mp_context: Optional[str] = None
     chaos: Optional[ChaosConfig] = None
     cache_dir: Optional[str] = None
     record_dir: Optional[str] = None
@@ -130,8 +124,6 @@ class ServiceConfig:
             retries=self.pool_retries,
             backoff_s=self.pool_backoff_s,
             poison_threshold=self.poison_threshold,
-            spawn_timeout_s=self.spawn_timeout_s,
-            mp_context=self.mp_context,
             chaos=self.chaos,
         )
 
@@ -575,7 +567,6 @@ class Scheduler:
             request,
             timeout_s=timeout,
             poison_key=job.spec.poison_key(),
-            kind=job.spec.kind,
         )
         self._pool_tasks[job.job_id] = handle
         try:

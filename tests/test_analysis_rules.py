@@ -1406,6 +1406,37 @@ JOBS_ANCHOR = """
 """
 
 
+LEAKY_SPAWN = """
+    from multiprocessing import Pipe
+
+
+    def leaky():
+        parent, child = Pipe()
+        child.close()
+        return None
+"""
+
+
+class TestDefaultScopes:
+    def test_pool_core_is_in_both_the_lifecycle_and_locks_scopes(self, tmp_path):
+        # the supervised pool's threaded supervisor and its spawn path
+        # moved out of repro/serve/; the default scopes must follow it
+        project = make_project(
+            tmp_path,
+            {
+                "src/repro/pool.py": LOCKED_RACY + LEAKY_SPAWN,
+                "src/repro/eval/supervisor.py": LEAKY_SPAWN,
+            },
+        )
+        assert {(f.path, f.rule) for f in check_lifecycle(project)} == {
+            ("src/repro/pool.py", "VIA501")
+        }
+        assert {f.path for f in check_locks(project)} == {"src/repro/pool.py"}
+        assert rules_of(check_locks(project)) == [
+            "VIA301", "VIA301", "VIA302", "VIA302"
+        ]
+
+
 class TestErrorflowRules:
     def test_via601_unmapped_raise(self, tmp_path):
         project = make_project(

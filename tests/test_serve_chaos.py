@@ -1,6 +1,6 @@
 """Chaos suite: the serving stack under deterministic fault injection.
 
-Unit level: the :class:`~repro.serve.chaos.ChaosConfig` plan grammar and
+Unit level: the :class:`~repro.chaos.ChaosConfig` plan grammar and
 its token-claim protocol (each rule fires exactly ``times`` times across
 every worker process, bounded by ``O_CREAT | O_EXCL`` token files).
 
@@ -23,8 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.chaos import ChaosConfig
 from repro.errors import ServeError
-from repro.serve.chaos import ChaosConfig
 from repro.serve.client import ServeClient
 from tests.test_serve_e2e import _spawn_server, _stop
 
@@ -249,7 +249,7 @@ class TestChaosEndToEnd:
 
 def test_crash_exit_code_is_visible_in_chaos_module():
     # pinned so supervisor logs/health dumps stay greppable
-    from repro.serve.chaos import CHAOS_CRASH_EXIT
+    from repro.chaos import CHAOS_CRASH_EXIT
 
     assert CHAOS_CRASH_EXIT == 23
     assert os.WEXITSTATUS(CHAOS_CRASH_EXIT << 8) == 23

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.serve.metrics import (
+from repro.metrics import (
     Counter,
     Gauge,
     Histogram,

@@ -1,7 +1,7 @@
 """Unit tests for the supervised subprocess worker pool.
 
 Each failure path in :mod:`repro.serve.pool` is driven deterministically
-through the :mod:`repro.serve.chaos` fault plan:
+through the :mod:`repro.chaos` fault plan:
 
 * a worker crash mid-job is retried transparently and the slot respawns;
 * a job that crashes every attempt fails ``worker_crash`` with its
@@ -13,7 +13,9 @@ through the :mod:`repro.serve.chaos` fault plan:
 * corrupted replies replace the worker and retry the job;
 * cancel kills a running job's worker promptly;
 * ``stop()`` resolves every outstanding future and reaps every worker
-  process and the supervisor thread — no leaks, ever.
+  process and the supervisor thread — no leaks, ever;
+* ``submit`` and ``stop`` wake the supervisor at once instead of waiting
+  out its scheduling tick.
 """
 
 import asyncio
@@ -23,8 +25,9 @@ import time
 
 import pytest
 
+from repro import pool as pool_core
 from repro.errors import JobCancelled, ServeError
-from repro.serve.chaos import ChaosConfig
+from repro.chaos import ChaosConfig
 from repro.serve.jobs import JobSpec, JobState
 from repro.serve.pool import PoisonJobError, PoolConfig, WorkerPool
 from repro.serve.scheduler import Scheduler, ServiceConfig
@@ -250,6 +253,44 @@ class TestCancel:
         ok = pool.submit(_request("sleep", duration_s=0.01))
         assert ok.future.result(timeout=60)["payload"] == {"slept_s": 0.01}
         assert pool.metrics.snapshot()["pool_worker_restarts"] >= 1
+
+
+def _wait_until_idle(pool):
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        workers = pool.health()["workers"]
+        if workers and all(w.get("state") == "idle" for w in workers):
+            return
+        time.sleep(0.01)
+    raise AssertionError("pool workers never became ready")
+
+
+class TestWakeUp:
+    """With a 5 s tick, only the wake socket can make these prompt."""
+
+    def test_submit_to_an_idle_pool_resolves_without_waiting_out_the_tick(
+        self, make_pool, monkeypatch
+    ):
+        monkeypatch.setattr(pool_core, "_TICK", 5.0)
+        pool = make_pool(workers=1)
+        _wait_until_idle(pool)
+        time.sleep(0.2)  # the supervisor is now inside a 5 s wait
+        begin = time.monotonic()
+        task = pool.submit(_request("sleep", duration_s=0.01))
+        assert task.future.result(timeout=30)["payload"] == {"slept_s": 0.01}
+        assert time.monotonic() - begin < 1.0
+
+    def test_stop_returns_without_waiting_out_the_tick(
+        self, make_pool, monkeypatch
+    ):
+        monkeypatch.setattr(pool_core, "_TICK", 5.0)
+        pool = make_pool(workers=1)
+        _wait_until_idle(pool)
+        time.sleep(0.2)
+        begin = time.monotonic()
+        pool.stop()
+        assert time.monotonic() - begin < 1.0
+        assert _supervisor_threads() == []
 
 
 class TestStop:
