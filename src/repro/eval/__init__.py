@@ -34,7 +34,6 @@ from repro.eval.units import (
     UNIT_KINDS,
     WorkUnit,
     compute_unit,
-    record_units,
     replay_units,
     spma_units,
     spmm_units,
@@ -81,7 +80,6 @@ __all__ = [
     "UNIT_KINDS",
     "WorkUnit",
     "compute_unit",
-    "record_units",
     "replay_units",
     "spma_units",
     "spmm_units",

@@ -8,9 +8,10 @@ their synthesized area and leakage (see :mod:`repro.via.area`).
 With ``record_dir`` set, the sweep runs in record/replay mode over the
 op-stream IR (:mod:`repro.sim.ops`): each matrix×kernel executes *once per
 stream-shape group* (the four configurations collapse into two — SSPM
-ports never shape the op stream), and every configuration re-prices the
-recorded streams.  Results are bit-identical to direct execution; only the
-wall time changes, from O(configs × full runs) to
+ports never shape the op stream), recorded by the group's first
+configuration, and every other configuration re-prices the recorded
+streams.  Results are bit-identical to direct execution; only the wall
+time changes, from O(configs × full runs) to
 O(shape groups × full runs + configs × cheap replays).
 """
 
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.eval.harness import geomean, sweep_spma, sweep_spmm, sweep_spmv
+from repro.eval.harness import geomean
 from repro.matrices.collection import MatrixCollection
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 from repro.via.config import ViaConfig, dse_configs
@@ -144,11 +145,15 @@ def run_dse(
     the same collection once per configuration, so a cached parallel
     :class:`~repro.eval.runner.RunnerConfig` pays off most here.
 
-    ``record_dir`` switches to record/replay mode: each matrix×kernel runs
-    functionally once per SSPM-capacity group, writing op-stream artifacts
-    into that directory, and every configuration is priced by replaying
-    them (bit-identical to the direct sweep, see
-    ``tests/test_ops_replay_differential.py``).
+    Per kernel, configurations run in sweep order with one
+    :func:`~repro.eval.runner.run_units` call each.  Without ``record_dir``
+    every unit prices directly — the reference the differential suites
+    compare against.  ``record_dir`` points every unit at an op-stream
+    artifact store: a unit replays its recording on a hit and records it on
+    a miss, so on a cold store each matrix×kernel runs functionally once
+    per SSPM-capacity group (in the group's first configuration) and every
+    other configuration re-prices the recorded streams (bit-identical to the
+    direct sweep, see ``tests/test_ops_replay_differential.py``).
 
     ``validate`` routes every op (direct, record, and replay) through the
     runtime invariant checker
@@ -185,49 +190,13 @@ def run_dse(
             model=model,
             keep=guided_keep,
         )
-    if record_dir is not None:
-        # record once per stream-shape group, replay once per configuration
-        return DseResult(cycles={
-            kernel: _simulate_cells(
-                kernel, configs, collection, machine, limit, spmm_collection,
-                spmm_max_n, runner, record_dir, validate,
-            )
-            for kernel in DSE_KERNELS
-        })
-    cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
-    for cfg in configs:
-        spmv_recs = sweep_spmv(
-            collection,
-            formats=("csb",),
-            machine=machine,
-            via_config=cfg,
-            limit=limit,
-            runner=runner,
-            validate=validate,
+    return DseResult(cycles={
+        kernel: _simulate_cells(
+            kernel, configs, collection, machine, limit, spmm_collection,
+            spmm_max_n, runner, record_dir, validate,
         )
-        cycles["spmv"][cfg.name] = geomean(
-            r.via_cycles["csb"] for r in spmv_recs
-        )
-        spma_recs = sweep_spma(
-            collection, machine=machine, via_config=cfg, limit=limit,
-            runner=runner, validate=validate,
-        )
-        cycles["spma"][cfg.name] = geomean(
-            r.via_cycles["csr"] for r in spma_recs
-        )
-        spmm_recs = sweep_spmm(
-            spmm_collection if spmm_collection is not None else collection,
-            machine=machine,
-            via_config=cfg,
-            limit=limit,
-            max_n=spmm_max_n,
-            runner=runner,
-            validate=validate,
-        )
-        cycles["spmm"][cfg.name] = geomean(
-            r.via_cycles["csr"] for r in spmm_recs
-        )
-    return DseResult(cycles=cycles)
+        for kernel in DSE_KERNELS
+    })
 
 
 def _simulate_cells(
@@ -244,23 +213,15 @@ def _simulate_cells(
 ) -> Dict[str, float]:
     """Geomean VIA cycles of one kernel under each configuration.
 
-    With a ``record_dir`` the kernel runs functionally once per SSPM
-    capacity group (ports never shape the op stream, so configs differing
-    only in ports share recordings) and every configuration replays them.
+    Configurations run in sweep order, one :func:`run_units` call each.
+    With a ``record_dir`` every unit replays its recording on a store hit
+    and records it on a miss, so on a cold store the first configuration
+    of each SSPM-capacity group records (ports never shape the op stream)
+    and the rest replay what it wrote.
     """
     from repro.eval.harness import _run
-    from repro.eval.units import record_units, replay_units
+    from repro.eval.units import replay_units
 
-    if record_dir is not None:
-        representatives: Dict[int, ViaConfig] = {}
-        for cfg in configs:
-            representatives.setdefault(cfg.sram_kb, cfg)
-        for rep in representatives.values():
-            units, _ = _dse_unit_lists(
-                kernel, collection, rep, machine, limit,
-                spmm_collection, spmm_max_n, validate,
-            )
-            _run(record_units(units, record_dir=record_dir), runner, None)
     cycles: Dict[str, float] = {}
     for cfg in configs:
         units, fmt = _dse_unit_lists(

@@ -39,7 +39,8 @@ from repro.sim.ops import (
 #: kernel families whose *baseline* narration never reads the VIA config.
 #: Their baseline recordings drop the SSPM capacity from the key, so one
 #: baseline artifact serves every shape group of the Fig. 9 DSE — the
-#: second group's record run replays it instead of re-running the kernel.
+#: second group's first (recording) unit replays it instead of re-running
+#: the baseline kernel.
 SHARED_BASELINE_KERNELS = frozenset({"spma", "spmm"})
 
 #: fields deliberately outside :func:`recording_key`, checked by the
@@ -74,12 +75,11 @@ def recording_key(unit, code_version: str, *, part: str = "via") -> str:
     additionally drops the SSPM capacity — those baselines narrate
     identically under every VIA configuration.
     """
-    kernel = unit.kernel or unit.kind
     via_sram_kb: Optional[int] = unit.via_config.sram_kb
-    if part == "base" and kernel in SHARED_BASELINE_KERNELS:
+    if part == "base" and unit.kind in SHARED_BASELINE_KERNELS:
         via_sram_kb = None
     payload = {
-        "kernel": kernel,
+        "kernel": unit.kind,
         "part": part,
         "spec": {
             "name": unit.spec.name,
@@ -182,8 +182,8 @@ class RecordingStore:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        # pre-seed the load memo: in-process readers (the replay phase of a
-        # record/replay sweep) skip the decompress-and-rebuild round trip
+        # pre-seed the load memo: in-process readers (the later configs of
+        # a record/replay sweep) skip the decompress-and-rebuild round trip
         st = path.stat()
         with _LOAD_MEMO_LOCK:
             _LOAD_MEMO[(str(path), st.st_mtime_ns, st.st_size)] = (

@@ -165,13 +165,13 @@ def dse_timing_report(
     """Measure the record/replay DSE against per-config direct sweeps.
 
     Runs the same configuration sweep three ways — direct (every config
-    re-executes every kernel), cold record/replay (record once per
-    SSPM-capacity group into a fresh store, replay every config), and warm
-    replay (second pass over the same store) — and reports wall times plus
-    a bit-identity check of every kernel×config cell.  Two sweeps are
-    timed: the paper's four Fig. 9 configurations, and a 2-capacity ×
-    4-port sweep where the replay economics are starker (one recording per
-    capacity serves four port variants).
+    re-executes every kernel), cold record/replay (into a fresh store, the
+    first config of each SSPM-capacity group records and the rest replay),
+    and warm replay (second pass over the same store) — and reports wall
+    times plus a bit-identity check of every kernel×config cell.  Two
+    sweeps are timed: the paper's four Fig. 9 configurations, and a
+    2-capacity × 4-port sweep where the replay economics are starker (one
+    recording per capacity serves four port variants).
     """
     import tempfile
 

@@ -318,7 +318,7 @@ def unit_context(unit: WorkUnit) -> dict:
     cycles rows from a journal alone, without reconstructing units.
     """
     return {
-        "kernel": unit.kernel or unit.kind,
+        "kernel": unit.kind,
         "via": dataclasses.asdict(unit.via_config),
         "machine": dataclasses.asdict(unit.machine),
     }
@@ -677,11 +677,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.eval.units import spma_units, spmm_units, spmv_units
     from repro.matrices.collection import MatrixCollection
 
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-        return value
+    def at_least(cast, low, *, strict: bool = False):
+        """argparse type: ``cast(text)`` that must be >= ``low`` (> if strict).
+
+        Mirrors :class:`RunnerConfig`'s checks so a bad value is a usage
+        error (exit 2) instead of a :class:`SweepError` traceback.
+        """
+
+        def parse(text: str):
+            value = cast(text)
+            if not (value > low if strict else value >= low):
+                bound = ">" if strict else ">="
+                raise argparse.ArgumentTypeError(
+                    f"must be {bound} {low}, got {value}"
+                )
+            return value
+
+        parse.__name__ = cast.__name__  # "invalid int value: 'x'"
+        return parse
+
+    positive_int = at_least(int, 1)
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
@@ -708,12 +723,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--resume", default=None, metavar="JOURNAL",
                         help="serve units already completed in this prior "
                         "run journal; only the rest recompute")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=at_least(float, 0, strict=True),
+                        default=None,
                         help="per-unit wall-clock timeout in seconds")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=at_least(int, 0), default=0,
                         help="extra attempts for transient failures "
                         "(worker death, timeout)")
-    parser.add_argument("--backoff", type=float, default=0.1,
+    parser.add_argument("--backoff", type=at_least(float, 0), default=0.1,
                         help="base seconds for exponential retry backoff")
     parser.add_argument("--validate", action="store_true",
                         help="run the op-stream invariant checks "

@@ -7,23 +7,19 @@ baseline/VIA kernel pair without touching any shared state, so units can be
 shipped to ``multiprocessing`` workers or hashed into a content-addressed
 result cache (:mod:`repro.eval.runner`).
 
-Unit kinds are dispatched through the :data:`UNIT_KINDS` registry so tests
-(and future kernels) can plug in new unit types without editing the runner.
-Beyond the direct kinds (``spmv``/``spma``/``spmm``) there are two
-op-stream kinds riding the IR seam (:mod:`repro.sim.ops`):
-
-* ``record`` — run the unit's kernel pair once per format with a
-  :class:`~repro.sim.backends.RecorderBackend`, persist the op streams and
-  functional outputs to a :class:`~repro.eval.recordings.RecordingStore`
-  artifact, and return the (direct-identical) :class:`SweepRecord`;
-* ``replay`` — load the artifact and re-price the recorded streams under
-  the unit's own machine/VIA configuration without executing any numpy.
-  A missing or corrupt artifact self-heals: the unit records under its own
-  configuration instead (bit-identical by construction).
+A unit's ``kind`` names its kernel family (``spmv``/``spma``/``spmm``),
+and one compute function serves all three.  Without a ``record_dir`` it
+prices the kernel pair directly — the reference path.  With one, the unit
+rides the op-stream IR seam (:mod:`repro.sim.ops`): a hit in the
+:class:`~repro.eval.recordings.RecordingStore` re-prices the recorded
+streams under the unit's own machine/VIA configuration without executing
+any numpy, and a miss (or a corrupt artifact) records them while pricing.
 
 Every unit's execution is a pure function of the unit, so record-once /
 replay-per-config sweeps (the Fig. 9 DSE) return bit-identical records to
-direct per-config runs.
+direct per-config runs.  Kinds are dispatched through the
+:data:`UNIT_KINDS` registry, the seam tests register fault-injection kinds
+into.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +52,7 @@ from repro.sim.backends import (
     replay_recording,
 )
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
-from repro.sim.ops import OPS_SCHEMA_VERSION
+from repro.sim.ops import OPS_SCHEMA_VERSION, Recording
 from repro.sim.stats import KernelResult
 from repro.via.config import DEFAULT_VIA, ViaConfig
 
@@ -69,11 +65,10 @@ X_VECTOR_SEED = 12345
 class WorkUnit:
     """One cell of the evaluation grid: matrix spec x kernel x parameters.
 
-    ``kernel`` names the underlying kernel family for the ``record`` and
-    ``replay`` kinds (whose ``kind`` no longer encodes it); direct kinds
-    leave it empty.  ``record_dir`` points record/replay units at their
-    artifact store; it never enters the result-cache key because a unit's
-    record is invariant to where its artifact lives.  ``validate`` routes
+    ``kind`` is the kernel family.  ``record_dir`` points the unit at an
+    op-stream artifact store (replay on a hit, record on a miss); it never
+    enters the result-cache key because a unit's record is invariant to
+    where (or whether) its artifact lives.  ``validate`` routes
     every op through the :class:`~repro.sim.backends.InvariantBackend`
     runtime checker; like ``record_dir`` it stays out of the cache key
     because validation only *checks* results, it never changes them.
@@ -85,7 +80,6 @@ class WorkUnit:
     via_config: ViaConfig = DEFAULT_VIA
     formats: Tuple[str, ...] = ()
     max_n: Optional[int] = None
-    kernel: str = ""
     record_dir: Optional[str] = None
     validate: bool = False
 
@@ -161,10 +155,10 @@ class UnitPlan:
 
     ``skeleton`` is the :class:`SweepRecord` with the structural fields
     filled; ``runs`` maps each format to a ``(baseline, via)`` pair of
-    callables taking an op-stream backend.  Direct execution passes
-    ``None``, recording passes a :class:`RecorderBackend` per run — so
-    direct, record, and (transitively) replay all price the exact same
-    narration.
+    callables taking an op-stream backend.  A unit without a store passes
+    ``None`` (direct pricing), a store miss passes a :class:`RecorderBackend`
+    per run — so direct, record, and (transitively) replay all price the
+    exact same narration.
     """
 
     skeleton: SweepRecord
@@ -274,7 +268,8 @@ def _plan_spmm(unit: WorkUnit) -> Optional[UnitPlan]:
     return UnitPlan(skeleton, runs)
 
 
-#: kernel family -> plan builder (used by direct, record, and self-heal paths)
+#: kernel family -> plan builder; every store miss (and every unit without
+#: a store) builds its plan through this table
 PLAN_KINDS: Dict[str, Callable[[WorkUnit], Optional[UnitPlan]]] = {
     "spmv": _plan_spmv,
     "spma": _plan_spma,
@@ -282,155 +277,108 @@ PLAN_KINDS: Dict[str, Callable[[WorkUnit], Optional[UnitPlan]]] = {
 }
 
 
-def _execute_plan(
-    plan: Optional[UnitPlan], *, validate: bool = False
-) -> Optional[SweepRecord]:
-    """Direct execution: price every run immediately, fill the record.
-
-    With ``validate`` on, every op routes through a fresh
-    :class:`InvariantBackend` so a mis-priced op raises
-    :class:`~repro.errors.InvariantError` at the op that broke the model
-    (results are unchanged — the checker wraps the direct pricing path).
-    """
-    if plan is None:
+def _replay_part(
+    unit: WorkUnit,
+    found: Optional[Tuple[Dict[str, Recording], Dict[str, Any]]],
+    part: str,
+    formats: Iterable[str],
+    via_config: Optional[ViaConfig] = None,
+) -> Optional[Dict[str, KernelResult]]:
+    """Re-price one stored artifact per format, or ``None`` if incomplete."""
+    if found is None:
         return None
-    rec = plan.skeleton
-    for fmt, (base_run, via_run) in plan.runs.items():
-        base = base_run(InvariantBackend() if validate else None)
-        via = via_run(InvariantBackend() if validate else None)
-        _fill_record(rec, fmt, base, via)
-    return rec
-
-
-def _compute_direct(unit: WorkUnit) -> Optional[SweepRecord]:
-    return _execute_plan(PLAN_KINDS[unit.kind](unit), validate=unit.validate)
-
-
-def _try_replay(unit: WorkUnit, store, code: str) -> Optional[SweepRecord]:
-    """Build a unit's record purely from stored artifacts, or ``None``."""
-    from repro.eval.recordings import recording_key
-
-    via_found = store.get(recording_key(unit, code, part="via"))
-    base_found = store.get(recording_key(unit, code, part="base"))
-    if via_found is None or base_found is None:
-        return None
-    via_recs, extra = via_found
-    base_recs, _ = base_found
-    rec = SweepRecord(**extra["skeleton"])
     try:
-        for fmt in extra["formats"]:
-            base = replay_recording(
-                base_recs[f"{fmt}/base"],
+        return {
+            fmt: replay_recording(
+                found[0][f"{fmt}/{part}"],
                 machine=unit.machine,
+                via_config=via_config,
                 validate=unit.validate,
             )
-            via = replay_recording(
-                via_recs[f"{fmt}/via"],
-                machine=unit.machine,
-                via_config=unit.via_config,
-                validate=unit.validate,
-            )
-            _fill_record(rec, fmt, base, via)
+            for fmt in formats
+        }
     except KeyError:
         return None
-    return rec
 
 
-def _compute_record(unit: WorkUnit) -> Optional[SweepRecord]:
-    """Ensure the unit's op streams are recorded; return its record.
+def _compute_cell(unit: WorkUnit) -> Optional[SweepRecord]:
+    """Price one kernel cell, through its artifact store when it has one.
 
-    The returned record is identical to direct execution (the recorder
-    prices ops through the same path it captures them on); the artifacts
-    additionally let any shape-compatible configuration replay them.  Each
-    unit writes two: the VIA streams (plus skeleton metadata) under the
-    ``via`` key and the baseline streams under the ``base`` key — for
+    Without a ``record_dir`` the kernel pair runs on the direct pricing
+    path — the reference the differential suites and the DSE oracle use.
+    With one, a store hit re-prices the recorded op streams under the
+    unit's own machine/VIA configuration without building a matrix; a miss
+    (or a corrupt artifact the store already discarded) runs the kernels
+    with a :class:`RecorderBackend`, which prices through the same path it
+    captures on, and persists two artifacts: the VIA streams (plus the
+    skeleton metadata) under the ``via`` key and the baseline streams under
+    the ``base`` key.  For
     :data:`~repro.eval.recordings.SHARED_BASELINE_KERNELS` the base key is
-    capacity-invariant, so a record run that finds another shape group's
-    baseline artifact replays it instead of re-running the kernel.
-    Recording is idempotent: a warm store satisfies the unit by replay
-    without re-running anything.
+    capacity-invariant, so a miss that finds another capacity group's
+    baseline replays it instead of re-running the baseline kernel.  All
+    three routes return bit-identical records.
+
+    ``validate`` wraps every backend in an :class:`InvariantBackend`, so a
+    mis-priced op raises :class:`~repro.errors.InvariantError` at the op
+    that broke the model; results are unchanged.
     """
     from repro.eval.recordings import RecordingStore, recording_key
 
-    store = code = None
+    store = code = base_found = None
     if unit.record_dir is not None:
         store = RecordingStore(unit.record_dir)
         code = _code_version()
-        cached = _try_replay(unit, store, code)
-        if cached is not None:
-            return cached
-    plan = PLAN_KINDS[unit.kernel](unit)
+        via_found = store.get(recording_key(unit, code, part="via"))
+        base_found = store.get(recording_key(unit, code, part="base"))
+        if via_found is not None and base_found is not None:
+            formats = via_found[1]["formats"]
+            base = _replay_part(unit, base_found, "base", formats)
+            via = _replay_part(unit, via_found, "via", formats, unit.via_config)
+            if base is not None and via is not None:
+                rec = SweepRecord(**via_found[1]["skeleton"])
+                for fmt in formats:
+                    _fill_record(rec, fmt, base[fmt], via[fmt])
+                return rec
+    plan = PLAN_KINDS[unit.kind](unit)
     if plan is None:
         return None
-    rec = plan.skeleton
-    base_results: Dict[str, KernelResult] = {}
-    if store is not None:
-        base_found = store.get(recording_key(unit, code, part="base"))
-        if base_found is not None:
-            try:
-                for fmt in plan.runs:
-                    base_results[fmt] = replay_recording(
-                        base_found[0][f"{fmt}/base"],
-                        machine=unit.machine,
-                        validate=unit.validate,
-                    )
-            except KeyError:
-                base_results = {}
-    if not base_results:
-        base_recordings = {}
-        for fmt, (base_run, _via_run) in plan.runs.items():
-            recorder = RecorderBackend()
-            backend = InvariantBackend(recorder) if unit.validate else recorder
-            base_results[fmt] = base_run(backend)
-            base_recordings[f"{fmt}/base"] = recorder.recording
-        if store is not None:
-            store.put(recording_key(unit, code, part="base"), base_recordings)
-    via_recordings = {}
-    for fmt, (_base_run, via_run) in plan.runs.items():
-        recorder = RecorderBackend()
+    recordings: Dict[str, Dict[str, Recording]] = {"base": {}, "via": {}}
+
+    def run(fn: _Runner, fmt: str, part: str) -> KernelResult:
+        recorder = RecorderBackend() if store is not None else None
         backend = InvariantBackend(recorder) if unit.validate else recorder
-        via = via_run(backend)
-        via_recordings[f"{fmt}/via"] = recorder.recording
-        _fill_record(rec, fmt, base_results[fmt], via)
-    if store is not None:
-        store.put(
-            recording_key(unit, code, part="via"),
-            via_recordings,
-            extra_meta={
-                "skeleton": {
-                    "name": rec.name,
-                    "domain": rec.domain,
-                    "n": int(rec.n),
-                    "nnz": int(rec.nnz),
-                    "metric": float(rec.metric),
-                    "features": {
-                        k: float(v) for k, v in rec.features.items()
-                    },
-                },
-                "formats": sorted(plan.runs),
+        result = fn(backend)
+        if recorder is not None:
+            recordings[part][f"{fmt}/{part}"] = recorder.recording
+        return result
+
+    base_results = _replay_part(unit, base_found, "base", plan.runs)
+    rec = plan.skeleton
+    for fmt, (base_run, via_run) in plan.runs.items():
+        if base_results is not None:
+            base = base_results[fmt]
+        else:
+            base = run(base_run, fmt, "base")
+        _fill_record(rec, fmt, base, run(via_run, fmt, "via"))
+    if store is None:
+        return rec
+    if recordings["base"]:
+        store.put(recording_key(unit, code, part="base"), recordings["base"])
+    store.put(
+        recording_key(unit, code, part="via"),
+        recordings["via"],
+        extra_meta={
+            "skeleton": {
+                "name": rec.name,
+                "domain": rec.domain,
+                "n": int(rec.n),
+                "nnz": int(rec.nnz),
+                "metric": float(rec.metric),
+                "features": {k: float(v) for k, v in rec.features.items()},
             },
-        )
-    return rec
-
-
-def _compute_replay(unit: WorkUnit) -> Optional[SweepRecord]:
-    """Re-price a recorded unit under this unit's machine/VIA configuration.
-
-    No matrix is built and no functional numpy runs: the artifacts' op
-    streams are replayed — pure arithmetic over their stored pricing state
-    when the machine matches, a memory-pass re-simulation otherwise.  On a
-    store miss (or a corrupt artifact the store already discarded) the unit
-    self-heals by recording under its own configuration — bit-identical
-    output either way.
-    """
-    from repro.eval.recordings import RecordingStore
-
-    if unit.record_dir is None:
-        raise ReproError("replay unit needs a record_dir")
-    store = RecordingStore(unit.record_dir)
-    rec = _try_replay(unit, store, _code_version())
-    if rec is None:
-        return _compute_record(unit)
+            "formats": sorted(plan.runs),
+        },
+    )
     return rec
 
 
@@ -441,13 +389,10 @@ def _code_version() -> str:
     return code_version()
 
 
-#: unit-kind dispatch table; extensible (tests register fault-injection kinds)
+#: unit-kind dispatch table: one compute function for every kernel family;
+#: tests register fault-injection kinds here
 UNIT_KINDS: Dict[str, Callable[[WorkUnit], Optional[SweepRecord]]] = {
-    "spmv": _compute_direct,
-    "spma": _compute_direct,
-    "spmm": _compute_direct,
-    "record": _compute_record,
-    "replay": _compute_replay,
+    kind: _compute_cell for kind in PLAN_KINDS
 }
 
 
@@ -518,19 +463,6 @@ def spmm_units(
     ]
 
 
-def record_units(units: Iterable[WorkUnit], *, record_dir: str) -> List[WorkUnit]:
-    """Turn direct units into ``record`` units targeting an artifact store."""
-    return [
-        dataclasses.replace(
-            u,
-            kind="record",
-            kernel=u.kernel or u.kind,
-            record_dir=record_dir,
-        )
-        for u in units
-    ]
-
-
 def replay_units(
     units: Iterable[WorkUnit],
     *,
@@ -538,17 +470,16 @@ def replay_units(
     machine: Optional[MachineConfig] = None,
     via_config: Optional[ViaConfig] = None,
 ) -> List[WorkUnit]:
-    """Turn direct units into ``replay`` units re-priced under a target.
+    """Point units at an artifact store, optionally re-priced under a target.
 
-    ``machine``/``via_config`` default to each unit's own configuration;
-    pass a different (stream-shape compatible) pair to sweep pricing knobs
-    against one set of recordings.
+    Each returned unit replays its recording on a store hit and records it
+    on a miss.  ``machine``/``via_config`` default to each unit's own
+    configuration; pass a different (stream-shape compatible) pair to sweep
+    pricing knobs against one set of recordings.
     """
     return [
         dataclasses.replace(
             u,
-            kind="replay",
-            kernel=u.kernel or u.kind,
             record_dir=record_dir,
             machine=machine if machine is not None else u.machine,
             via_config=via_config if via_config is not None else u.via_config,
@@ -585,7 +516,6 @@ def unit_cache_key(unit: WorkUnit, code_version: str) -> str:
     """
     payload = {
         "kind": unit.kind,
-        "kernel": unit.kernel,
         "spec": {
             "name": unit.spec.name,
             "domain": unit.spec.domain,

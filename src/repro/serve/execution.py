@@ -212,12 +212,12 @@ def _build_units(
 def _count_replay_hits(
     units: List[Any], *, record_dir: Optional[str], metrics: Dict[str, int]
 ) -> None:
-    """Score replay units against the store *before* execution.
+    """Score store-backed units against the store *before* execution.
 
     A unit whose recording artifact already exists is a replay hit — it
     will re-price stored streams instead of running the kernel; a miss
-    records first (self-heal).  Counted here because the self-healing
-    replay path hides the distinction downstream.
+    records while it prices.  Counted here because the unit's compute path
+    hides the distinction downstream.
     """
     from repro.eval.recordings import RecordingStore, recording_key
     from repro.eval.runner import code_version

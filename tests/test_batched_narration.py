@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.eval.units import (
     compute_unit,
-    record_units,
+    replay_units,
     spma_units,
     spmm_units,
     spmv_units,
@@ -175,7 +175,7 @@ def _unit_matrix(machine, via, collection):
 
 
 def _record_dicts(mode, machine, via, collection, record_dir):
-    units = record_units(
+    units = replay_units(
         _unit_matrix(machine, via, collection), record_dir=record_dir
     )
     if mode == "scalar":

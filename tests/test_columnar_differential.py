@@ -28,7 +28,7 @@ import pytest
 from repro.errors import ConfigError, ReplayMismatchError
 from repro.eval import RunnerConfig, run_units
 from repro.eval.dse import run_dse
-from repro.eval.units import record_units, replay_units, spma_units, spmm_units
+from repro.eval.units import replay_units, spma_units, spmm_units
 from repro.formats.csb import CSBMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
@@ -301,7 +301,7 @@ class TestSharedBaseline:
             )
         assert scalar.records == direct.records
         # warm the store with the *other* capacity group only
-        warm = record_units(
+        warm = replay_units(
             make_units(coll, via_config=VIA_16_2P), record_dir=rdir
         )
         run_units(warm, RunnerConfig())

@@ -24,7 +24,7 @@ from repro.eval import RunnerConfig, run_units
 from repro.eval import recordings as recordings_mod
 from repro.eval.recordings import RecordingStore, recording_key
 from repro.eval.runner import code_version
-from repro.eval.units import record_units, replay_units, spmv_units
+from repro.eval.units import replay_units, spmv_units
 from repro.matrices import small_collection
 from repro.sim.columnar import KIND_IDS
 from repro.sim.ops import _checksum, load_recordings, save_recordings
@@ -38,7 +38,7 @@ def warmed(tmp_path):
     coll = small_collection(2, seed=41, max_n=128)
     direct = spmv_units(coll, formats=("csr",))
     rdir = str(tmp_path / "rec")
-    recs = record_units(direct, record_dir=rdir)
+    recs = replay_units(direct, record_dir=rdir)
     baseline = run_units(recs, RunnerConfig())
     store = RecordingStore(rdir)
     path = store._path(recording_key(recs[0], code_version(), part="via"))
@@ -214,10 +214,10 @@ class TestKeyDiscipline:
     def _unit(self, via_config=VIA_16_2P, kernel="spmv"):
         coll = small_collection(1, seed=51, max_n=128)
         units = spmv_units(coll, formats=("csr",), via_config=via_config)
-        recs = record_units(units, record_dir="/tmp/unused")
+        recs = replay_units(units, record_dir="/tmp/unused")
         import dataclasses
 
-        return dataclasses.replace(recs[0], kernel=kernel)
+        return dataclasses.replace(recs[0], kind=kernel)
 
     def test_port_count_is_not_in_the_key(self):
         a = recording_key(self._unit(VIA_16_2P), "c0")

@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SweepError
-from repro.eval import ResultCache, RunnerConfig, WorkUnit, unit_cache_key
+from repro.eval import (
+    ResultCache,
+    RunnerConfig,
+    WorkUnit,
+    replay_units,
+    unit_cache_key,
+)
 from repro.eval.harness import SweepRecord
 from repro.matrices import MatrixSpec
 from repro.sim.config import CacheConfig, MachineConfig
@@ -162,6 +168,14 @@ def test_unit_identity_fields_change_key(mutate):
 def test_code_version_changes_key():
     base = _unit()
     assert unit_cache_key(base, CODE) != unit_cache_key(base, CODE + "x")
+
+
+def test_store_backed_unit_shares_the_direct_key(tmp_path):
+    """A unit pointed at an artifact store reuses its direct cache entry."""
+    base = _unit()
+    stored = replay_units([base], record_dir=str(tmp_path))[0]
+    assert stored.record_dir == str(tmp_path)
+    assert unit_cache_key(stored, CODE) == unit_cache_key(base, CODE)
 
 
 # ----------------------------------------------------------------------

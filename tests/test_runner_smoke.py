@@ -124,3 +124,18 @@ def test_cli_demo_sweep_reports_cache_hits(tmp_path):
     assert third.returncode == 0, third.stderr[-2000:]
     assert "invalidated 2" in third.stdout
     assert "2 computed" in third.stdout
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--retries", "-1"), ("--backoff", "-1"), ("--timeout", "0"),
+     ("--workers", "0"), ("--count", "0")],
+)
+def test_cli_rejects_out_of_range_values_at_parse_time(flag, value, capsys):
+    """Values RunnerConfig would refuse are usage errors (exit 2), not tracebacks."""
+    from repro.eval.runner import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err

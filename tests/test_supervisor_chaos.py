@@ -42,8 +42,12 @@ pytestmark = [
 
 
 def _as_spmv(unit: WorkUnit):
-    """Delegate to the real spmv computation (bit-identical records)."""
-    return compute_unit(dataclasses.replace(unit, kind="spmv"))
+    """Delegate to the real spmv computation (bit-identical records).
+
+    ``record_dir`` only carries the sentinel directory here; cleared, so the
+    delegated unit prices directly instead of recording into it.
+    """
+    return compute_unit(dataclasses.replace(unit, kind="spmv", record_dir=None))
 
 
 def _kill_once(unit: WorkUnit):
